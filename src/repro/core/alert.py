@@ -562,11 +562,8 @@ class AlertProtocol(RoutingProtocol):
         state = self._holders.setdefault(hdr.session, HolderState())
 
         # Step 2 for the *previous* packet: holders release it now.
-        # Releases are prepared (scramble draws come from the protocol
-        # stream) and then transmitted as one fan-out: the MAC resolves
-        # every holder's contention in a single batched call — RNG
-        # streams are per-subsystem, so hoisting the MAC draws past the
-        # scramble draws is stream-neutral and the trace bit-identical.
+        # Every release is prepared (scramble draws) before the first
+        # one is transmitted, the order the golden traces record.
         releases: list[tuple[int, Packet, int | None]] = []
         for holder_id, held in state.holders:
             held_pkt: Packet = held  # type: ignore[assignment]
@@ -586,8 +583,8 @@ class AlertProtocol(RoutingProtocol):
             rhdr.bitmap_chain.append(bitmap)
             self.metrics.note("defense_releases")
             releases.append((holder_id, release, release.flow_id))
-        if releases:
-            self.network.broadcast_fanout(releases)
+        for holder_id, release, flow in releases:
+            self.network.local_broadcast(holder_id, release, flow=flow)
         state.holders = []
 
         # Step 1 for *this* packet: scramble and multicast to m members.

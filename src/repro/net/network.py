@@ -25,7 +25,7 @@ from repro.geometry.field import Field
 from repro.geometry.primitives import Point, Rect
 from repro.geometry.spatial_index import GridIndex
 from repro.mobility.base import MobilityModel, SnapshotInterpolator
-from repro.net.mac import _BATCH_MIN, Mac80211Dcf, MacOutcome
+from repro.net.mac import Mac80211Dcf, MacOutcome
 from repro.net.neighbor_table import NeighborEntry, NeighborTable
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
@@ -162,9 +162,6 @@ class Network:
         # Active-node mask, invalidated by node fail()/restore() hooks
         # so neighbor queries need not re-check every hit's flag.
         self._active_mask: np.ndarray | None = None
-        # (mask, tx_ids, tx_list) of the last hello round, keyed by the
-        # mask's identity; see _emit_hello_round.
-        self._hello_tx_cache: tuple | None = None
         # Reused all-population buffer for hello-round interpolation.
         self._hello_pos_buf: np.ndarray | None = None
         for node in self.nodes:
@@ -335,33 +332,6 @@ class Network:
             self._in_flight, (self.engine.now + duration, origin.x, origin.y)
         )
 
-    def _local_loads_batch(self, around: Sequence[Point]) -> np.ndarray:
-        """Vectorised :meth:`_local_load` for many query points at once.
-
-        One expiry sweep (all queries share ``now``), then one pairwise
-        pass over the surviving in-flight entries — the same
-        ``dx·dx + dy·dy <= cs²`` float64 predicate as the scalar loop,
-        so every count is bit-identical.  Returns int64 counts; callers
-        convert to float exactly as ``_local_load`` does.
-        """
-        now = self.engine.now
-        in_flight = self._in_flight
-        while in_flight and in_flight[0][0] <= now:
-            heapq.heappop(in_flight)
-        k = len(around)
-        if not in_flight:
-            return np.zeros(k, dtype=np.int64)
-        qx = np.fromiter((p.x for p in around), dtype=np.float64, count=k)
-        qy = np.fromiter((p.y for p in around), dtype=np.float64, count=k)
-        flight = np.array(in_flight, dtype=np.float64)
-        dx = flight[:, 1][:, None] - qx
-        dy = flight[:, 2][:, None] - qy
-        dx *= dx
-        dy *= dy
-        dx += dy
-        cs2 = self.cs_range * self.cs_range
-        return (dx <= cs2).sum(axis=0)
-
     # ------------------------------------------------------------------
     # communication primitives
     # ------------------------------------------------------------------
@@ -484,26 +454,6 @@ class Network:
         spos = sender.position(now)
         packet.record_visit(sender_id)
         outcome = self.mac.broadcast(packet.size_bytes, self._local_load(spos))
-        return self._finish_broadcast(
-            sender_id, spos, packet, outcome, on_delivered, flow, restrict_to
-        )
-
-    def _finish_broadcast(
-        self,
-        sender_id: int,
-        spos: Point,
-        packet: Packet,
-        outcome: MacOutcome,
-        on_delivered: Callable[[Node, Packet], None] | None,
-        flow: int | None,
-        restrict_to: Sequence[int] | None,
-    ) -> list[int]:
-        """Everything after the MAC exchange of one broadcast: counters,
-        in-flight registration, listener, and the receiver fan-out —
-        shared verbatim by :meth:`local_broadcast` and the batched
-        :meth:`broadcast_fanout`."""
-        now = self.engine.now
-        sender = self.nodes[sender_id]
         sender.tx_count += outcome.attempts
         packet.transmissions += outcome.attempts
         self.broadcast_tx += outcome.attempts
@@ -550,70 +500,6 @@ class Network:
                 category=category, cancellable=False,
             )
         return receivers
-
-    def broadcast_fanout(
-        self,
-        txs: Sequence[tuple[int, Packet, int | None]],
-        on_delivered: Callable[[Node, Packet], None] | None = None,
-        restrict_to: Sequence[int] | None = None,
-    ) -> list[list[int]]:
-        """A fan-out of :meth:`local_broadcast` calls, resolved in batch.
-
-        ``txs`` is a sequence of ``(sender_id, packet, flow)`` triples
-        sharing the current instant (e.g. ALERT's holder-release storm).
-        Above the MAC's ``_BATCH_MIN`` the fan-out is priced in one
-        pass: sender loads come from a single vectorised sweep over the
-        in-flight heap plus an incremental cross-term — sender *j*'s
-        own transmission counts toward every later sender *k* within
-        carrier sense, exactly as the scalar sequence of
-        ``_local_load`` / ``_register_tx`` calls would observe — and
-        the MAC resolves all contention draws through
-        :meth:`Mac80211Dcf.broadcast_batch`'s scalar-replay chain.
-        Per-sender bookkeeping and receiver scheduling then run in the
-        same ascending order as the scalar loop, so counters, the
-        in-flight heap, engine sequence numbers, and every golden trace
-        are bit-identical (RNG streams are per-subsystem, so reordering
-        MAC draws relative to *other* streams' draws is stream-neutral).
-
-        Returns one receiver list per transmission, in ``txs`` order.
-        """
-        if len(txs) < _BATCH_MIN:
-            return [
-                self.local_broadcast(
-                    sender_id, packet, on_delivered, flow, restrict_to
-                )
-                for sender_id, packet, flow in txs
-            ]
-        now = self.engine.now
-        nodes = self.nodes
-        positions = [nodes[s].position(now) for s, _, _ in txs]
-        for sender_id, packet, _ in txs:
-            packet.record_visit(sender_id)
-        loads = self._local_loads_batch(positions)
-        # Incremental cross-term: earlier fan-out members' transmissions
-        # are in flight (their end times exceed ``now``) by the time a
-        # later member senses the channel.
-        k = len(txs)
-        px = np.fromiter((p.x for p in positions), dtype=np.float64, count=k)
-        py = np.fromiter((p.y for p in positions), dtype=np.float64, count=k)
-        dx = px[:, None] - px
-        dy = py[:, None] - py
-        dx *= dx
-        dy *= dy
-        dx += dy
-        cs2 = self.cs_range * self.cs_range
-        loads = loads + np.tril(dx <= cs2, -1).sum(axis=1)
-        outcomes = self.mac.broadcast_batch(
-            [packet.size_bytes for _, packet, _ in txs],
-            loads.astype(np.float64),
-        )
-        return [
-            self._finish_broadcast(
-                sender_id, positions[i], packet, outcomes[i],
-                on_delivered, flow, restrict_to,
-            )
-            for i, (sender_id, packet, flow) in enumerate(txs)
-        ]
 
     # ------------------------------------------------------------------
     # hello beacons
@@ -672,25 +558,14 @@ class Network:
         ``GridIndex.query_radius``'s arithmetic (the candidate set is a
         superset filtered by this exact predicate), so the accepted
         pairs — and therefore every metric — are bit-identical to the
-        scalar round, kept alongside as
-        :meth:`_emit_hello_round_scalar`.
+        scalar round, kept as the test oracle
+        ``tests.oracles.emit_hello_round_scalar``.
         """
         now = self.engine.now
         nodes = self.nodes
         active = self.active_mask()
-        # ``active_mask`` caches its array until a node flips state, so
-        # object identity means "same active set as last round" — reuse
-        # the derived id arrays, and (more importantly) keep ``tx_list``
-        # the *same object* across rounds: pending ingest slices that
-        # share one address list can be merged with cross-round dedup
-        # (see ``NeighborTable._apply_pending``).
-        cached = self._hello_tx_cache
-        if cached is not None and cached[0] is active:
-            tx_ids, tx_list = cached[1], cached[2]
-        else:
-            tx_ids = np.flatnonzero(active)
-            tx_list = tx_ids.tolist()
-            self._hello_tx_cache = (active, tx_ids, tx_list)
+        tx_ids = np.flatnonzero(active)
+        tx_list = tx_ids.tolist()
         n_tx = int(tx_ids.size)
         if n_tx == 0:
             return
@@ -929,33 +804,8 @@ class Network:
             nt._columns = None
             a = b
 
-    def _emit_hello_round_scalar(self) -> None:
-        """Reference scalar round (kept for parity tests/benchmarks)."""
-        for node in self.nodes:
-            if node.active:
-                self._emit_hello(node)
-
     def stop_hello(self) -> None:
         """Stop all beacon tasks (end of a run)."""
         for task in self._hello_tasks:
             task.stop()
         self._hello_tasks.clear()
-
-    def _emit_hello(self, node: Node) -> None:
-        """Deliver one beacon: update in-range nodes' neighbor tables."""
-        now = self.engine.now
-        self.hello_tx += 1
-        node.tx_count += 1
-        hello_air = self.radio.tx_time(self.hello_size_bytes)
-        self.airtime_tx_s += hello_air
-        entry_template = NeighborEntry(
-            link_address=node.id,
-            pseudonym=node.pseudonym_at(now),
-            position=node.position(now),
-            public_key=node.keypair.public,
-            last_seen=now,
-        )
-        receivers = self.neighbors_of(node.id)
-        self.airtime_rx_s += hello_air * len(receivers)
-        for rid in receivers:
-            self.nodes[rid].neighbors.update(entry_template)

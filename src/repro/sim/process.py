@@ -54,15 +54,10 @@ class Timer:
 class PeriodicTask:
     """Repeat ``fn`` every ``interval`` seconds until stopped.
 
-    Ticks are booked through the engine's calendar-queue timer lane
-    (:meth:`~repro.sim.engine.Engine.schedule_timer_in`): the strictly-
-    periodic schedule — hello rounds, CBR/adaptive traffic, ALARM
-    dissemination — lands in coarse calendar buckets instead of
-    sifting through the binary heap, while firing order stays
-    bit-identical to heap scheduling by construction (shared sequence
-    counter, global min-merge in the pop loop).  One-shot
-    :class:`Timer` arms stay on the heap: they are the irregular,
-    frequently-cancelled residue the heap's compaction already handles.
+    Each tick is booked with one cancellable
+    :meth:`~repro.sim.engine.Engine.schedule_in` call, so it takes one
+    sequence number and orders against every other event by
+    ``(time, priority, seq)`` on the engine's single heap.
 
     Parameters
     ----------
@@ -109,11 +104,8 @@ class PeriodicTask:
         self._stopped = False
         self.ticks = 0
         first = interval if start_offset is None else start_offset
-        # The period hint lets the calendar lane hash its bucket width
-        # to the dominant tick interval (see ``schedule_timer_in``).
-        self._handle = engine.schedule_timer_in(
-            self._displace(first), self._tick, category=category,
-            period=interval,
+        self._handle = engine.schedule_in(
+            self._displace(first), self._tick, category=category
         )
 
     @property
@@ -148,9 +140,9 @@ class PeriodicTask:
         self.ticks += 1
         self._fn()
         if not self._stopped:
-            self._handle = self._engine.schedule_timer_in(
+            self._handle = self._engine.schedule_in(
                 self._displace(self._interval), self._tick,
-                category=self._category, period=self._interval,
+                category=self._category,
             )
 
     def stop(self) -> None:

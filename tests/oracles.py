@@ -16,6 +16,9 @@ from three moves ago.  This module provides the stronger oracle:
 
 Any future index variant (k-d tree, sorted-array sweep, GPU bucketing)
 can be dropped into the same harness unchanged.
+
+It also holds :func:`emit_hello_round_scalar`, the one-beacon-at-a-time
+reference for the vectorised ``Network._emit_hello_round``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.geometry.spatial_index import GridIndex
+from repro.net.neighbor_table import NeighborEntry
 
 
 class NaiveIndex:
@@ -223,3 +227,30 @@ def run_differential(
             )
             assert_same_answers(trio, "nearest", x, y, None, context=ctx)
     return grid, naive
+
+
+def emit_hello_round_scalar(net) -> None:
+    """Reference hello round: every live node beacons in id order."""
+    for node in net.nodes:
+        if node.active:
+            emit_hello(net, node)
+
+
+def emit_hello(net, node) -> None:
+    """Deliver one beacon: update in-range nodes' neighbor tables."""
+    now = net.engine.now
+    net.hello_tx += 1
+    node.tx_count += 1
+    hello_air = net.radio.tx_time(net.hello_size_bytes)
+    net.airtime_tx_s += hello_air
+    entry_template = NeighborEntry(
+        link_address=node.id,
+        pseudonym=node.pseudonym_at(now),
+        position=node.position(now),
+        public_key=node.keypair.public,
+        last_seen=now,
+    )
+    receivers = net.neighbors_of(node.id)
+    net.airtime_rx_s += hello_air * len(receivers)
+    for rid in receivers:
+        net.nodes[rid].neighbors.update(entry_template)

@@ -1,26 +1,19 @@
-"""Batch-execution fast lane: ordering, accounting, and lane parity.
+"""Engine dispatch: batch records, timers, and step-vs-run parity.
 
-The engine's large-field lanes — the calendar-queue timer lane and
-batched ``OP_DELIVER_BATCH`` records — claim *by-construction* identity
-with plain heap scheduling: sequence numbers come from one shared
-counter and the pop loop fires the globally smallest
-``(time, priority, seq)`` across every structure.  This suite pins that
-claim three ways:
+Every event lives on one heap ordered by ``(time, priority, seq)``, and
+``run()`` and ``step()`` share one dispatch loop.  This suite pins:
 
-* deterministic ordering tests — ``run(until)`` semantics, ``stop()``
-  between records of a batch, ``pending()`` accounting mid-batch,
-  cancellation during a batch, ``step()`` granularity, and the
-  calendar demote path (a new timer landing *before* the promoted
-  bucket);
-* a Hypothesis differential property — an ``Engine(timer_lane=True)``
-  and an ``Engine(timer_lane=False)`` driven by one randomly generated
-  schedule of periodic tasks (jittered and not, interval changes
-  mid-run, mid-run stops) must produce identical firing logs, clocks,
-  counters, and pending counts;
-* batch-vs-individual differential tests — a broadcast fan-out
-  scheduled as one batch record must be indistinguishable from the
-  same fan-out scheduled as individual delivery records, including
-  around re-entrant same-time scheduling.
+* batched ``OP_DELIVER_BATCH`` records — they fire in their reserved
+  sequence positions, ``pending()`` counts them per record, and
+  ``stop()`` or ``step()`` between two records re-queues the tail;
+* periodic-timer ordering, cancel accounting and ``run(until)``
+  semantics;
+* a Hypothesis differential property: one engine drained with
+  repeated ``step()`` and one drained with ``run()``, fed the same
+  random schedule of periodic tasks (jittered and not, interval
+  changes, stop-after-k), batch deliveries and cancelled one-shots,
+  must produce identical firing logs, clocks, counters and pending
+  counts.
 """
 
 from __future__ import annotations
@@ -198,61 +191,22 @@ class TestBatchRecords:
         assert eng.pending() == 0
 
 
-class TestCalendarLane:
+class TestTimers:
     def test_timer_orders_against_heap_events(self):
         eng = Engine()
         log: list = []
-        eng.schedule_timer_in(1.0, lambda: log.append(("timer", eng.now)))
+        PeriodicTask(eng, 1.0, lambda: log.append(("tick", eng.now)))
         eng.schedule_in(1.0, lambda: log.append(("heap", eng.now)))
         eng.schedule_in(0.5, lambda: log.append(("early", eng.now)))
-        eng.run()
-        # same time: the timer was scheduled first, so it fires first
-        assert log == [("early", 0.5), ("timer", 1.0), ("heap", 1.0)]
-
-    def test_demote_path_preserves_order(self):
-        """A timer landing before the promoted bucket still fires in order.
-
-        Promote a far bucket by exhausting everything before it, then —
-        from inside a callback — schedule a timer into an *earlier*
-        bucket.  The promoted run's unfired tail must be demoted and
-        both fire in time order.
-        """
-        eng = Engine()
-        log: list = []
-        # two timers in bucket [5, 6): promoted together
-        eng.schedule_timer_in(5.1, lambda: log.append(("t5.1", eng.now)))
-        eng.schedule_timer_in(5.9, lambda: log.append(("t5.9", eng.now)))
-
-        def plant_earlier():
-            # now == 5.1 < 5.9; bucket key int(5.5) == 5 equals the
-            # promoted key, and key 2 < 5 exercises the demote branch
-            eng.schedule_timer_in(0.0, lambda: log.append(("t5.1b", eng.now)))
-
-        # fires at 5.1 *after* t5.1 (scheduled later at equal time)
-        eng.schedule_timer_in(5.1, plant_earlier)
-        eng.run()
-        assert log == [("t5.1", 5.1), ("t5.1b", 5.1), ("t5.9", 5.9)]
-
-    def test_demote_to_strictly_earlier_bucket(self):
-        eng = Engine()
-        log: list = []
-        eng.schedule_timer_in(5.5, lambda: log.append(("late", eng.now)))
-
-        def plant():
-            eng.schedule_timer_in(2.0, lambda: log.append(("mid", eng.now)))
-
-        eng.schedule_in(0.1, plant)
-        # force promotion of bucket 5 before t=0.1 by peeking: run a
-        # no-op event first so the loop peeks the calendar head
-        eng.schedule_in(0.05, lambda: None)
-        eng.run()
-        assert log == [("mid", 2.1), ("late", 5.5)]
+        eng.run(until=1.0)
+        # same time: the tick was scheduled first, so it fires first
+        assert log == [("early", 0.5), ("tick", 1.0), ("heap", 1.0)]
 
     def test_cancelled_timer_accounting(self):
         eng = Engine()
         log: list = []
-        h1 = eng.schedule_timer_in(1.0, lambda: log.append("a"))
-        eng.schedule_timer_in(2.0, lambda: log.append("b"))
+        h1 = eng.schedule_in(1.0, lambda: log.append("a"), category="timer")
+        eng.schedule_in(2.0, lambda: log.append("b"), category="timer")
         assert eng.pending() == 2
         h1.cancel()
         h1.cancel()  # idempotent
@@ -262,7 +216,7 @@ class TestCalendarLane:
         assert eng.pending() == 0
         assert eng.events_processed == 1
 
-    def test_run_until_leaves_timer_lane_intact(self):
+    def test_run_until_leaves_next_tick_queued(self):
         eng = Engine()
         log: list = []
         PeriodicTask(eng, 1.0, lambda: log.append(eng.now))
@@ -274,56 +228,8 @@ class TestCalendarLane:
         assert log == [1.0, 2.0, 3.0, 4.0]
 
 
-class TestAdaptiveBucketWidth:
-    """The calendar lane re-keys its bucket width to the dominant
-    registered period — only while empty, so no existing key can be
-    invalidated.  Firing order is width-independent by construction
-    (the parity suite below pins it); these tests pin the width
-    mechanics themselves."""
-
-    def test_width_adapts_to_first_registered_period(self):
-        eng = Engine(seed=1, timer_lane=True)
-        assert eng._cal_width == 1.0
-        PeriodicTask(eng, 0.25, lambda: None)
-        assert eng._cal_width == 0.25
-
-    def test_no_rekey_while_lane_occupied(self):
-        eng = Engine(seed=1, timer_lane=True)
-        PeriodicTask(eng, 0.25, lambda: None)
-        # The first task's pending tick occupies the lane: a second
-        # period may vote but must not re-key under live entries.
-        PeriodicTask(eng, 0.5, lambda: None)
-        assert eng._cal_width == 0.25
-        assert eng._cal_period_votes == {0.25: 1, 0.5: 1}
-
-    def test_rekey_to_majority_once_lane_drains(self):
-        eng = Engine(seed=1, timer_lane=True)
-        fast = PeriodicTask(eng, 0.25, lambda: None)
-        slow_a = PeriodicTask(eng, 0.5, lambda: None)
-        slow_b = PeriodicTask(eng, 0.5, lambda: None, start_offset=0.3)
-        eng.run(until=2.0)
-        for task in (fast, slow_a, slow_b):
-            task.stop()
-        # Reschedules during the run voted 0.5 into the majority; the
-        # next registration on the drained lane re-keys to it.
-        eng.run(until=5.0)
-        PeriodicTask(eng, 0.5, lambda: None)
-        assert eng._cal_width == 0.5
-
-    def test_width_floor_defangs_degenerate_periods(self):
-        eng = Engine(seed=1, timer_lane=True)
-        PeriodicTask(eng, 1e-9, lambda: None)
-        assert eng._cal_width == 1e-6
-
-    def test_heap_engine_collects_no_votes(self):
-        eng = Engine(seed=1, timer_lane=False)
-        PeriodicTask(eng, 0.25, lambda: None)
-        assert eng._cal_period_votes == {}
-        assert eng._cal_width == 1.0
-
-
 # --------------------------------------------------------------------------
-# Hypothesis: lane parity under arbitrary periodic schedules
+# Hypothesis: step() and run() fire identically
 # --------------------------------------------------------------------------
 
 TASK = st.tuples(
@@ -334,18 +240,61 @@ TASK = st.tuples(
     st.one_of(                                  # set_interval at tick 2
         st.none(), st.floats(min_value=0.05, max_value=3.0)
     ),
+    st.integers(min_value=0, max_value=3),      # same-time fan-out per tick
 )
 
+#: (time, cancel time or None), both as fractions of the horizon
+ONE_SHOT = st.tuples(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+)
 
-def _drive(timer_lane: bool, specs, until: float):
-    eng = Engine(seed=42, timer_lane=timer_lane)
+#: (time as a fraction of the horizon, number of receivers)
+BATCH = st.tuples(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=4),
+)
+
+HORIZON = st.floats(min_value=0.5, max_value=12.0)
+
+
+class _Probe:
+    """Delivery target that logs through the schedule's ``note``."""
+
+    def __init__(self, note, name: str) -> None:
+        self._note = note
+        self.name = name
+
+    def deliver(self, packet) -> None:
+        self._note("deliver", self.name, packet)
+
+
+def _build(tasks_spec, shots, batches, until):
+    """An engine loaded with one generated schedule, and its firing log.
+
+    Every firing logs the clock, ``events_processed`` and ``pending()``
+    as seen from inside the callback.  An event at ``until`` stops every
+    periodic task, so the queue drains by itself.
+    """
+    eng = Engine(seed=42)
     log: list = []
+
+    def note(*what) -> None:
+        log.append((*what, eng.now, eng.events_processed, eng.pending()))
+
+    sinks = [_Probe(note, f"s{r}") for r in range(4)]
     tasks: list[PeriodicTask] = []
 
-    def make_cb(k: int, stop_after: int, new_interval):
+    def make_cb(k: int, stop_after: int, new_interval, fanout: int):
         def cb() -> None:
             task = tasks[k]
-            log.append((k, eng.now, eng.events_processed))
+            note("tick", k)
+            if fanout:
+                eng.schedule_deliver_batch(
+                    eng.now,
+                    sinks[:fanout],
+                    [(k, task.ticks, r) for r in range(fanout)],
+                )
             if new_interval is not None and task.ticks == 2:
                 task.set_interval(new_interval)
             if task.ticks == stop_after:
@@ -353,31 +302,77 @@ def _drive(timer_lane: bool, specs, until: float):
 
         return cb
 
-    for k, (interval, offset, jittered, stop_after, new_interval) in enumerate(
-        specs
+    for k, (interval, offset, jittered, stop_after, new_interval, fanout) in (
+        enumerate(tasks_spec)
     ):
         tasks.append(
             PeriodicTask(
                 eng,
                 interval,
-                make_cb(k, stop_after, new_interval),
+                make_cb(k, stop_after, new_interval, fanout),
                 jitter=0.2 * interval if jittered else 0.0,
                 rng=eng.rng.stream(f"jit{k}") if jittered else None,
                 start_offset=offset,
+                category="hello" if k % 2 else "timer",
             )
         )
-    eng.run(until=until)
-    return log, eng.now, eng.events_processed, eng.pending()
+    for i, (at, cancel_at) in enumerate(shots):
+        handle = eng.schedule_at(
+            at * until, lambda i=i: note("shot", i), category="control"
+        )
+        if cancel_at is not None:
+            eng.schedule_at(cancel_at * until, handle.cancel)
+    for i, (at, n) in enumerate(batches):
+        eng.schedule_deliver_batch(
+            at * until, sinks[:n], [("b", i, r) for r in range(n)]
+        )
+
+    def stop_all() -> None:
+        note("horizon")
+        for task in tasks:
+            task.stop()
+
+    eng.schedule_at(until, stop_all)
+    return eng, log
 
 
-class TestLaneParity:
+def _outcome(eng: Engine, log: list):
+    return (
+        log, eng.now, eng.events_processed, dict(eng.event_counts),
+        eng.pending(),
+    )
+
+
+def _drain_by_step(schedule):
+    eng, log = _build(*schedule)
+    while eng.step():
+        pass
+    now = eng.now
+    # An empty queue leaves the clock unchanged.
+    assert eng.step() is False
+    assert eng.now == now
+    return _outcome(eng, log)
+
+
+def _drain_by_run(schedule, split: float | None = None):
+    eng, log = _build(*schedule)
+    if split is not None:
+        eng.run(until=split * schedule[3])
+    eng.run()
+    return _outcome(eng, log)
+
+
+class TestStepRunParity:
     @settings(max_examples=60, deadline=None)
     @given(
         specs=st.lists(TASK, min_size=1, max_size=5),
-        until=st.floats(min_value=0.5, max_value=12.0),
+        shots=st.lists(ONE_SHOT, max_size=4),
+        batches=st.lists(BATCH, max_size=4),
+        until=HORIZON,
     )
-    def test_calendar_and_heap_fire_identically(self, specs, until):
-        assert _drive(True, specs, until) == _drive(False, specs, until)
+    def test_step_and_run_fire_identically(self, specs, shots, batches, until):
+        schedule = (specs, shots, batches, until)
+        assert _drain_by_step(schedule) == _drain_by_run(schedule)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -388,54 +383,24 @@ class TestLaneParity:
         ),
         until=st.floats(min_value=0.5, max_value=10.0),
     )
-    def test_non_unit_dominant_period_parity(
-        self, period, n_tasks, offsets, until
-    ):
-        """A non-1 s dominant period re-keys the bucket width (every
-        vote agrees, and the lane starts empty), and firing stays
-        identical to the heap — width only ever changes occupancy."""
+    def test_shared_period_ties_parity(self, period, n_tasks, offsets, until):
+        """Tasks sharing one period tie at equal times every round;
+        the tie-break must not depend on how the loop is driven."""
         specs = [
-            (period, offsets[k], False, -1, None) for k in range(n_tasks)
+            (period, offsets[k], False, -1, None, k % 3) for k in range(n_tasks)
         ]
-        assert _drive(True, specs, until) == _drive(False, specs, until)
+        schedule = (specs, [], [], until)
+        assert _drain_by_step(schedule) == _drain_by_run(schedule)
 
     @settings(max_examples=40, deadline=None)
     @given(
         specs=st.lists(TASK, min_size=1, max_size=4),
-        split=st.floats(min_value=0.3, max_value=5.0),
-        tail=st.floats(min_value=0.1, max_value=6.0),
+        shots=st.lists(ONE_SHOT, max_size=3),
+        batches=st.lists(BATCH, max_size=3),
+        until=HORIZON,
+        split=st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_parity_survives_run_resume(self, specs, split, tail):
-        """Two runs with an intermediate horizon match one long run."""
-
-        def drive_split(timer_lane: bool):
-            eng = Engine(seed=42, timer_lane=timer_lane)
-            log: list = []
-            tasks: list[PeriodicTask] = []
-            for k, (interval, offset, jittered, stop_after, _) in enumerate(
-                specs
-            ):
-                def make_cb(k=k, stop_after=stop_after):
-                    def cb() -> None:
-                        log.append((k, eng.now))
-                        if tasks[k].ticks == stop_after:
-                            tasks[k].stop()
-
-                    return cb
-
-                tasks.append(
-                    PeriodicTask(
-                        eng,
-                        interval,
-                        make_cb(),
-                        jitter=0.2 * interval if jittered else 0.0,
-                        rng=eng.rng.stream(f"jit{k}") if jittered else None,
-                        start_offset=offset,
-                    )
-                )
-            eng.run(until=split)
-            mid = (eng.now, eng.pending(), list(log))
-            eng.run(until=split + tail)
-            return mid, log, eng.now, eng.events_processed, eng.pending()
-
-        assert drive_split(True) == drive_split(False)
+    def test_step_matches_run_resume(self, specs, shots, batches, until, split):
+        """``run(until=...)`` then ``run()`` matches stepping throughout."""
+        schedule = (specs, shots, batches, until)
+        assert _drain_by_step(schedule) == _drain_by_run(schedule, split)

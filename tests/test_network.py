@@ -8,6 +8,7 @@ import pytest
 from repro.mobility.base import positions_at
 from repro.net.packet import Packet, PacketKind
 from tests.conftest import build_network
+from tests.oracles import emit_hello_round_scalar
 
 
 def data_packet(src=0, dst=1, size=512, flow=None):
@@ -232,7 +233,7 @@ class TestHelloRoundParity:
             net.engine.schedule_in(0.7, lambda: None)
             net.engine.run()
         vec._emit_hello_round()
-        ref._emit_hello_round_scalar()
+        emit_hello_round_scalar(ref)
         assert vec.hello_tx == ref.hello_tx
         assert vec.airtime_tx_s == ref.airtime_tx_s
         assert vec.airtime_rx_s == ref.airtime_rx_s
@@ -248,7 +249,7 @@ class TestHelloRoundParity:
             for nid in (0, 7, 13):
                 net.nodes[nid].fail()
         vec._emit_hello_round()
-        ref._emit_hello_round_scalar()
+        emit_hello_round_scalar(ref)
         assert vec.hello_tx == ref.hello_tx
         now = vec.engine.now
         for a, b in zip(vec.nodes, ref.nodes):

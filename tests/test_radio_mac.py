@@ -36,6 +36,21 @@ class TestRadioModel:
         r = RadioModel()
         assert r.propagation_delay(300.0) == pytest.approx(1e-6, rel=1e-3)
 
+    def test_tx_time_memo_returns_identical_floats(self):
+        r = RadioModel()
+        fresh = RadioModel()
+        for size in (0, 14, 512, 512, 1024, 14):
+            assert r.tx_time(size) == fresh.tx_time(size)
+        # The memo caches one entry per distinct size, not per call.
+        assert len(r._tx_cache) == 4
+
+    def test_in_range_mask_matches_scalar(self):
+        r = RadioModel()
+        dists = np.array([0.0, 249.9, 250.0, 250.1, 1e4])
+        mask = r.in_range_mask(dists)
+        for d, m in zip(dists.tolist(), mask.tolist()):
+            assert m == r.in_range(d)
+
 
 class TestMacUnicast:
     def _mac(self, seed=0, **kw):
@@ -82,6 +97,25 @@ class TestMacUnicast:
         early = np.mean([mac._backoff(0) for _ in range(500)])
         late = np.mean([mac._backoff(5) for _ in range(500)])
         assert late > early
+
+
+class TestPfailMemo:
+    def _mac(self, seed=0):
+        return Mac80211Dcf(RadioModel(), np.random.default_rng(seed))
+
+    def test_memo_returns_same_value_on_repeat(self):
+        mac = self._mac()
+        p = mac._attempt_failure_prob(3.0)
+        assert mac._pfail_cache[3.0] == p
+        mac.unicast(512, 10.0, 3.0)
+        assert mac._attempt_failure_prob(3.0) == p
+
+    def test_cap_and_base_loss(self):
+        mac = self._mac()
+        assert mac._attempt_failure_prob(0.0) == pytest.approx(
+            mac.base_loss
+        )
+        assert mac._attempt_failure_prob(1e9) == 0.95
 
 
 class TestMacDropListener:
