@@ -29,7 +29,8 @@ duration, so loop times are directly comparable.  Each point records
 both the mean and the *minimum* loop time over its reps; the gate
 prefers the minimum, which is the standard least-interference
 estimator and far less sensitive to scheduler noise than a mean of
-one or two draws.  Each population additionally runs in its own
+one or two draws; ``setup_min_s`` is recorded the same way and gated
+next to it.  Each population additionally runs in its own
 interpreter (see ``_bench_point_isolated``): allocator-arena history
 from earlier, smaller points measurably inflates later points' loop
 times when the whole sweep shares one process.
@@ -132,6 +133,7 @@ def bench_scale_point(n_nodes: int, reps: int) -> dict:
         "setup_mean_s": setup,
         "loop_mean_s": loop,
         "loop_min_s": float(min(loops)),
+        "setup_min_s": float(min(setups)),
         "events_processed": events,
         "event_counts": {
             k: int(v) for k, v in sorted(result.event_counts.items())
@@ -265,6 +267,7 @@ def test_scale_harness_smoke(tmp_path):
     assert point["events_processed"] > 0
     assert point["loop_mean_s"] > 0.0
     assert 0.0 < point["loop_min_s"] <= point["loop_mean_s"] + 1e-12
+    assert 0.0 < point["setup_min_s"] <= point["setup_mean_s"] + 1e-12
     assert point["us_per_event"] > 0.0
     # events/s and µs/event are reciprocal views of the same number.
     assert math.isclose(

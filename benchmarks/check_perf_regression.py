@@ -25,8 +25,10 @@ loop times are directly comparable.  The gate prefers ``loop_min_s``
 (minimum loop time over the point's reps — the least-interference
 estimator, stable where a mean of one or two draws swings with
 scheduler noise) and falls back to ``loop_mean_s`` for reports that
-predate the field.  Reports that predate the scale harness entirely
-skip this gate instead of failing it.
+predate the field.  It gates ``setup_min_s`` (network build, key
+generation, registration) the same way, and skips that check when
+either report predates the field.  Reports that predate the scale
+harness entirely skip this gate instead of failing it.
 
 A third gate covers the ``traffic`` section written by
 ``benchmarks/bench_traffic_adaptive.py``.  Unlike the other two it is
@@ -101,7 +103,7 @@ def check(
 def check_scale(
     baseline: dict, candidate: dict, max_regression: float
 ) -> tuple[bool, str]:
-    """Gate the N=1000 scale point's event-loop cost.
+    """Gate the N=1000 scale point's event-loop and setup cost.
 
     ``bench_scale.py --quick`` and the committed full profile both run
     the same config (seed, field, pairs) at the same simulated
@@ -109,9 +111,10 @@ def check_scale(
     caveat.  Prefers ``loop_min_s`` (min over reps; wall-clock noise
     only ever adds time, so the minimum is the tightest estimate of
     true cost) and falls back to ``loop_mean_s`` when either report
-    predates that field.  If either report predates the scale harness,
-    the gate is skipped rather than failed so older baselines don't
-    block CI.
+    predates that field.  ``setup_min_s`` is gated against the same
+    limit when both reports carry it.  If either report predates the
+    scale harness, the gate is skipped rather than failed so older
+    baselines don't block CI.
     """
     base = (baseline.get("scale") or {}).get("n1000")
     cand = (candidate.get("scale") or {}).get("n1000")
@@ -127,6 +130,22 @@ def check_scale(
     else:
         b, c = base["us_per_event"], cand["us_per_event"]
         label = "us_per_event (duration mismatch)"
+    ok, summary = _scale_line(label, b, c, max_regression)
+    if "setup_min_s" in base and "setup_min_s" in cand:
+        setup_ok, setup_summary = _scale_line(
+            "setup_min_s", base["setup_min_s"], cand["setup_min_s"], max_regression
+        )
+        ok = ok and setup_ok
+    else:
+        setup_summary = (
+            "scale n1000 [setup_min_s]: skipped (field missing from a report)"
+        )
+    return ok, f"{summary}\n{setup_summary}"
+
+
+def _scale_line(
+    label: str, b: float, c: float, max_regression: float
+) -> tuple[bool, str]:
     change = c / b - 1.0
     summary = (
         f"scale n1000 [{label}]: baseline {b:.4g}, candidate {c:.4g} "
@@ -302,6 +321,52 @@ def test_scale_gate_mean_fallback_on_one_sided_min():
     cand["scale"]["n1000"]["loop_min_s"] = 5.5
     ok, summary = check_scale(_scale_report(5.0), cand, 0.25)
     assert ok and "loop_mean_s" in summary
+
+
+def test_scale_gate_checks_setup_min():
+    # Loop unchanged; setup alone decides, against the same limit.
+    base = _scale_report(5.0)
+    base["scale"]["n1000"]["setup_min_s"] = 0.40
+    cand = _scale_report(5.0)
+    cand["scale"]["n1000"]["setup_min_s"] = 0.45
+    ok, summary = check_scale(base, cand, 0.25)
+    assert ok and "setup_min_s]: baseline 0.4, candidate 0.45" in summary
+    cand["scale"]["n1000"]["setup_min_s"] = 0.60
+    ok, _ = check_scale(base, cand, 0.25)
+    assert not ok
+
+
+def test_scale_gate_setup_does_not_mask_loop_regression():
+    base = _scale_report(5.0)
+    base["scale"]["n1000"]["setup_min_s"] = 0.40
+    cand = _scale_report(7.0)
+    cand["scale"]["n1000"]["setup_min_s"] = 0.10
+    ok, _ = check_scale(base, cand, 0.25)
+    assert not ok
+
+
+def test_scale_gate_skips_setup_when_one_side_lacks_it():
+    # An older baseline without setup_min_s: only the loop is gated.
+    cand = _scale_report(5.0)
+    cand["scale"]["n1000"]["setup_min_s"] = 9.0
+    ok, summary = check_scale(_scale_report(5.0), cand, 0.25)
+    assert ok and "setup_min_s]: skipped" in summary
+    base = _scale_report(5.0)
+    base["scale"]["n1000"]["setup_min_s"] = 0.40
+    ok, summary = check_scale(base, _scale_report(5.0), 0.25)
+    assert ok and "setup_min_s]: skipped" in summary
+
+
+def test_main_fails_on_scale_setup_regression(tmp_path):
+    base_report, cand_report = _scale_report(5.0), _scale_report(5.0)
+    base_report["scale"]["n1000"]["setup_min_s"] = 0.40
+    cand_report["scale"]["n1000"]["setup_min_s"] = 0.80
+    base = tmp_path / "base.json"
+    cand = tmp_path / "cand.json"
+    base.write_text(json.dumps(base_report))
+    cand.write_text(json.dumps(cand_report))
+    rc = main(["--baseline", str(base), "--candidate", str(cand)])
+    assert rc == 1
 
 
 def test_scale_gate_falls_back_on_duration_mismatch():

@@ -22,13 +22,19 @@ from repro.crypto.cipher import (
     hybrid_encrypt,
 )
 from repro.crypto.cost_model import CryptoCostModel
-from repro.crypto.keys import KeyPair, SymmetricKey, generate_keypair
+from repro.crypto.keys import (
+    KeyPair,
+    SymmetricKey,
+    generate_keypair,
+    generate_keypairs,
+)
 from repro.crypto.pseudonym import Pseudonym, PseudonymManager
 
 __all__ = [
     "KeyPair",
     "SymmetricKey",
     "generate_keypair",
+    "generate_keypairs",
     "SymmetricCipher",
     "PublicKeyCipher",
     "hybrid_encrypt",

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.crypto.keys import generate_keypair
+from repro.crypto.keys import generate_keypairs
 from repro.geometry.field import Field
 from repro.geometry.primitives import Point, Rect
 from repro.geometry.spatial_index import GridIndex
@@ -116,12 +116,13 @@ class Network:
         self.mac = Mac80211Dcf(self.radio, engine.rng.stream("mac"))
         ttl = neighbor_ttl if neighbor_ttl is not None else 3.0 * hello_interval
 
-        key_rng = engine.rng.stream("keys")
+        keypairs = generate_keypairs(
+            engine.rng.stream("keys"), n_nodes, bits=keypair_bits
+        )
         self.nodes: list[Node] = []
-        for i in range(n_nodes):
+        for i, keypair in enumerate(keypairs):
             node_rng = engine.rng.stream(f"node-{i}")
             mobility = mobility_factory(i, node_rng)
-            keypair = generate_keypair(key_rng, bits=keypair_bits)
             self.nodes.append(
                 Node(i, mobility, keypair, node_rng, neighbor_ttl=ttl)
             )

@@ -18,7 +18,10 @@ Any future index variant (k-d tree, sorted-array sweep, GPU bucketing)
 can be dropped into the same harness unchanged.
 
 It also holds :func:`emit_hello_round_scalar`, the one-beacon-at-a-time
-reference for the vectorised ``Network._emit_hello_round``.
+reference for the vectorised ``Network._emit_hello_round``, and
+:func:`random_prime` / :func:`generate_keypair_scalar`, the
+one-candidate-at-a-time reference for the block-vectorised
+``repro.crypto.keys.generate_keypairs``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, is_probable_prime
 from repro.geometry.spatial_index import GridIndex
 from repro.net.neighbor_table import NeighborEntry
 
@@ -254,3 +258,43 @@ def emit_hello(net, node) -> None:
     net.airtime_rx_s += hello_air * len(receivers)
     for rid in receivers:
         net.nodes[rid].neighbors.update(entry_template)
+
+
+def random_prime(bits: int, rng: np.random.Generator) -> int:
+    """Draw a random prime with exactly ``bits`` bits, one candidate at a time."""
+    if bits < 3:
+        raise ValueError(f"bits must be >= 3, got {bits}")
+    while True:
+        # Force top bit (exact width) and bottom bit (odd).
+        raw = int(rng.integers(0, 1 << (bits - 2), dtype=np.uint64))
+        candidate = (1 << (bits - 1)) | (raw << 1) | 1
+        if is_probable_prime(candidate):
+            return candidate
+
+
+def generate_keypair_scalar(
+    rng: np.random.Generator, bits: int = 64, retries: list[str] | None = None
+) -> KeyPair:
+    """Reference textbook-RSA keypair with a ``bits``-bit modulus.
+
+    Leaves ``rng`` exactly past the last candidate drawn.  When
+    ``retries`` is given, each discarded ``(p, q)`` pair appends the
+    reason (``"p == q"`` or ``"phi % e == 0"``).
+    """
+    half = bits // 2
+    e = 65537
+    while True:
+        p = random_prime(half, rng)
+        q = random_prime(half, rng)
+        if p == q:
+            if retries is not None:
+                retries.append("p == q")
+            continue
+        n = p * q
+        phi = (p - 1) * (q - 1)
+        if phi % e == 0:
+            if retries is not None:
+                retries.append("phi % e == 0")
+            continue
+        d = pow(e, -1, phi)
+        return KeyPair(PublicKey(n, e), PrivateKey(n, d))
