@@ -58,10 +58,7 @@ class NeighborTable:
         # decisions call ``live_entries`` far more often than beacons
         # rewrite the table, so the sort must not rerun per decision.
         self._sorted: list[NeighborEntry] | None = None
-        # Column view of the sorted rows (positions, last-seen) for the
-        # batched forwarding path; rebuilt lazily alongside ``_sorted``.
-        self._columns: tuple | None = None
-        # Deferred hello ingests: (entries, idx, lo, hi, base) slices
+        # Deferred hello ingests: (entries, idx, lo, hi, addrs) slices
         # queued by ``ingest_shared`` and materialised — in arrival
         # order, so later rounds overwrite earlier ones exactly as an
         # eager store would — on the first read or eager write.  Most
@@ -72,30 +69,18 @@ class NeighborTable:
     def _apply_pending(self) -> None:
         """Materialise queued ``ingest_shared`` slices in arrival order."""
         table = self._entries
-        for entries, idx, lo, hi, base, addrs in self._pending:
-            if addrs is not None and base == 0:
-                # Hot path: gather addresses and rows with one C-level
-                # itemgetter each and merge via ``dict.update`` — same
-                # stores, same order, no per-row interpreter steps.
-                # ``idx`` may be a numpy array (the hello round shares
-                # one pair array per round); the slice is materialised
-                # here, per applied slice, not for the whole round.
-                if hi - lo > 1:
-                    rows = idx[lo:hi]
-                    if type(rows) is not list:
-                        rows = rows.tolist()
-                    g = itemgetter(*rows)
-                    table.update(zip(g(addrs), g(entries)))
-                else:
-                    t = idx[lo]
-                    table[addrs[t]] = entries[t]
-            elif addrs is None:
-                for t in idx[lo:hi]:
-                    e = entries[base + t]
-                    table[e.link_address] = e
+        for entries, idx, lo, hi, addrs in self._pending:
+            # Gather addresses and rows with one C-level itemgetter each
+            # and merge via ``dict.update`` — same stores, same order,
+            # no per-row interpreter steps.  ``idx`` is the round's
+            # shared pair array; it is materialised here, per applied
+            # slice, not for the whole round.
+            if hi - lo > 1:
+                g = itemgetter(*idx[lo:hi].tolist())
+                table.update(zip(g(addrs), g(entries)))
             else:
-                for t in idx[lo:hi]:
-                    table[addrs[t]] = entries[base + t]
+                t = idx[lo]
+                table[addrs[t]] = entries[t]
         self._pending.clear()
 
     def update(self, entry: NeighborEntry) -> None:
@@ -104,13 +89,12 @@ class NeighborTable:
             self._apply_pending()
         self._entries[entry.link_address] = entry
         self._sorted = None
-        self._columns = None
 
     def bulk_update(self, entries: Iterable[NeighborEntry]) -> None:
         """Insert or refresh many rows with one cache invalidation.
 
-        The hello round hands every receiver its in-range transmitters'
-        shared per-round rows through this path.
+        An eager write: the hello round queues its rows through
+        :meth:`ingest_shared` instead.
         """
         if self._pending:
             self._apply_pending()
@@ -118,7 +102,6 @@ class NeighborTable:
         for entry in entries:
             table[entry.link_address] = entry
         self._sorted = None
-        self._columns = None
 
     #: Queued ingest slices tolerated before an eager merge bounds the
     #: held references (≈ one slice tuple per hello round).
@@ -127,33 +110,30 @@ class NeighborTable:
     def ingest_shared(
         self,
         entries: list[NeighborEntry],
-        idx: "list[int] | np.ndarray",
+        idx: np.ndarray,
         lo: int,
         hi: int,
-        base: int,
-        addrs: list[int] | None = None,
+        addrs: list[int],
     ) -> None:
-        """Store rows ``entries[base + t] for t in idx[lo:hi]``.
+        """Store rows ``entries[t] for t in idx[lo:hi]``.
 
         The vectorised hello round hands every receiver a slice of one
-        shared per-round index list.  The slice is queued, not stored:
+        shared per-round index array.  The slice is queued, not stored:
         materialisation happens on the table's next read (or eager
         write), so nodes that make no forwarding decision between
         rounds — the vast majority of a 10k-node field — never pay the
         per-row dict stores at all.  Equivalent to ``bulk_update`` over
         the same rows: application order is arrival order, so a later
         round's row for the same address wins exactly as it would
-        eagerly.  ``addrs``, when given, carries
-        ``entries[base + t].link_address`` as ``addrs[t]`` (one shared
-        per-round list), sparing the materialisation loop an attribute
-        load per row.
+        eagerly.  ``addrs`` carries ``entries[t].link_address`` as
+        ``addrs[t]`` (one shared per-round list), sparing the
+        materialisation an attribute load per row.
         """
         pending = self._pending
         if len(pending) >= self._PENDING_MAX:
             self._apply_pending()
-        pending.append((entries, idx, lo, hi, base, addrs))
+        pending.append((entries, idx, lo, hi, addrs))
         self._sorted = None
-        self._columns = None
 
     def remove(self, link_address: int) -> None:
         """Drop a row (e.g., after repeated link-layer failures)."""
@@ -161,7 +141,6 @@ class NeighborTable:
             self._apply_pending()
         if self._entries.pop(link_address, None) is not None:
             self._sorted = None
-            self._columns = None
 
     def live_entries(self, now: float) -> list[NeighborEntry]:
         """All non-expired rows, sorted by link address (deterministic)."""
@@ -173,32 +152,6 @@ class NeighborTable:
             self._sorted = rows
         cutoff = now - self.ttl
         return [e for e in rows if e.last_seen >= cutoff]
-
-    def columns(self) -> tuple[list[NeighborEntry], np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, xs, ys, last_seen)`` over *all* rows, address-sorted.
-
-        The arrays are aligned with ``rows`` and cached between writes,
-        so the batched forwarding path (see
-        :func:`repro.routing.gpsr.next_hop_greedy_batched`) can compute
-        distances for a whole neighborhood in one vector pass instead
-        of touching each row's ``Point``.  Liveness is *not* applied
-        here — callers mask with ``last_seen >= now - ttl``, which is
-        exactly :meth:`live_entries`'s cutoff predicate.
-        """
-        if self._pending:
-            self._apply_pending()
-        cols = self._columns
-        if cols is None or self._sorted is None:
-            rows = self._sorted
-            if rows is None:
-                rows = [e for _, e in sorted(self._entries.items())]
-                self._sorted = rows
-            xs = np.array([e.position.x for e in rows], dtype=np.float64)
-            ys = np.array([e.position.y for e in rows], dtype=np.float64)
-            seen = np.array([e.last_seen for e in rows], dtype=np.float64)
-            cols = (rows, xs, ys, seen)
-            self._columns = cols
-        return cols
 
     def get(self, link_address: int, now: float) -> NeighborEntry | None:
         """The live row for ``link_address``, or ``None``."""
@@ -219,7 +172,6 @@ class NeighborTable:
             del self._entries[a]
         if dead:
             self._sorted = None
-            self._columns = None
         return len(dead)
 
     def __len__(self) -> int:

@@ -26,7 +26,7 @@ from repro.geometry.primitives import Point, Rect
 from repro.geometry.spatial_index import GridIndex
 from repro.mobility.base import MobilityModel, SnapshotInterpolator
 from repro.net.mac import Mac80211Dcf, MacOutcome
-from repro.net.neighbor_table import NeighborEntry, NeighborTable
+from repro.net.neighbor_table import NeighborEntry
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
 from repro.net.radio import RadioModel
@@ -35,18 +35,6 @@ from repro.sim.process import PeriodicTask
 
 #: Called after every link-layer exchange: (flow_id, attempts, success).
 TxListener = Callable[[int | None, int, bool], None]
-
-#: Peak element budget for one chunk of the batched hello-round
-#: pairwise in-range matrix (chunk_rows × n_nodes); 256k float64
-#: pairs keeps the per-chunk scratch around 4 MB.
-_PAIR_CHUNK_ELEMS = 262_144
-
-#: Node count at which the hello round switches from the all-pairs
-#: chunked in-range pass (O(N²) arithmetic, but one tight vector op at
-#: paper scale) to the cell-grouped pass over the spatial index's
-#: buckets (O(N × local density) arithmetic plus per-cell dispatch).
-#: Measured crossover on this kernel sits near 500 nodes.
-_GROUPED_HELLO_MIN = 512
 
 
 def _event_category(packet: Packet) -> str:
@@ -474,18 +462,12 @@ class Network:
         category = _event_category(packet)
         t_deliver = now + outcome.delay_s
         if on_delivered is None:
-            # Fast lane for the dominant fire-and-forget fan-out: the
-            # whole co-temporal receiver block rides one batched
-            # delivery record (one heap entry, one reserved seq per
-            # receiver — ordering identical to per-receiver records).
-            if receivers:
-                nodes = self.nodes
-                self.engine.schedule_deliver_batch(
-                    t_deliver,
-                    [nodes[rid] for rid in receivers],
-                    [packet.fork() for _ in receivers],
-                    category=category,
-                )
+            # The dominant fire-and-forget fan-out: one typed delivery
+            # record per receiver, in receiver order.
+            nodes = self.nodes
+            deliver = self.engine.schedule_deliver
+            for rid in receivers:
+                deliver(t_deliver, nodes[rid], packet.fork(), category=category)
             return receivers
         schedule = self.engine.schedule_at
         for rid in receivers:
@@ -548,14 +530,12 @@ class Network:
         pseudonym-then-position, as in the scalar loop; streams are
         per-node (per-group for RPGM, which both passes visit in
         ascending order), so cross-node interleaving is draw-order
-        neutral.  The in-range test runs as a pairwise array pass
-        instead of one grid query per transmitter, and receiver tables
-        ingest each round's rows through
-        :meth:`NeighborTable.ingest_shared`.  Below
-        ``_GROUPED_HELLO_MIN`` transmitters the pass is all-pairs
-        (chunked); above it, transmitters are grouped by grid cell via
-        :meth:`GridIndex.grouped_candidates` so the arithmetic scales
-        with local density instead of N².  Either pass repeats
+        neutral.  The in-range test runs as a vectorised pass instead
+        of one grid query per transmitter: transmitters are grouped by
+        grid cell via :meth:`GridIndex.grouped_candidates`, so the
+        arithmetic scales with local density instead of N², and
+        receiver tables ingest each round's rows through
+        :meth:`NeighborTable.ingest_shared`.  The pass repeats
         ``GridIndex.query_radius``'s arithmetic (the candidate set is a
         superset filtered by this exact predicate), so the accepted
         pairs — and therefore every metric — are bit-identical to the
@@ -656,130 +636,78 @@ class Network:
         r2 = r * r
         round_rxs: list[np.ndarray] = []
         round_txs: list[np.ndarray] = []
-        if n_tx >= _GROUPED_HELLO_MIN:
-            # Cell-grouped pass: transmitters sharing a grid cell share
-            # one candidate gather (their 3×3-cell neighborhood), so the
-            # pairwise test touches ~local-density rows per transmitter
-            # instead of all N.  The candidate set is a superset of
-            # every true receiver (cell size ≥ radius), filtered by the
-            # exact predicate below — accepted pairs are identical to
-            # the all-pairs branch, and the airtime accumulation loop
-            # afterwards adds per-transmitter terms in the same
-            # ascending order the chunked branch uses.
-            # With no failed nodes (the common case) the per-group
-            # active filter is an identity copy — skip it wholesale.
-            all_active = bool(active.all())
-            for q, cand in snap_index.grouped_candidates(centers, r):
-                if not all_active:
-                    cand = cand[active[cand]]
-                    if cand.size == 0:
-                        continue
-                # one fancy-index gather per group; the column views
-                # reproduce the reference dx*dx + dy*dy term order
-                sp = snap_pos[cand]
-                cq = centers[q]
-                dx = sp[:, :1] - cq[:, 0]
-                dy = sp[:, 1:] - cq[:, 1]
-                dx *= dx
-                dy *= dy
-                dx += dy
-                rl, tl = np.nonzero(dx <= r2)
-                if rl.size:
-                    round_rxs.append(cand[rl])
-                    round_txs.append(q[tl])
-            # Self-pairs are excluded in ONE global compare over the
-            # round's accepted pairs (each transmitter is its own
-            # candidate exactly once), and the per-transmitter receiver
-            # counts come from ONE bincount over the surviving pair
-            # list — identical counts to per-group exclusion matrices
-            # and scatters, without ~2 small-array passes per grid
-            # cell.  Pair order within a receiver differs from the
-            # ascending-transmitter order only across groups, which is
-            # unobservable: each (rx, tx) pair appears once per round
-            # and every table read sorts by address.
-            if round_rxs:
-                if len(round_rxs) == 1:
-                    rxs, txs = round_rxs[0], round_txs[0]
-                else:
-                    rxs = np.concatenate(round_rxs)
-                    txs = np.concatenate(round_txs)
-                keep = rxs != tx_ids[txs]
-                rxs = rxs[keep]
-                txs = txs[keep]
-                counts = np.bincount(txs, minlength=n_tx)
-            else:
-                rxs = txs = None
-                counts = np.zeros(n_tx, dtype=np.int64)
-            air_rx = self.airtime_rx_s
-            for c in counts.tolist():
-                air_rx += hello_air * c
-            self.airtime_rx_s = air_rx
-            if rxs is None or rxs.size == 0:
-                return
-            if len(round_rxs) > 1:
-                # Narrow pair arrays: stable-sorting uint16 keys is ~4×
-                # faster than int64 at these sizes (and the sort-order
-                # gathers shrink with them); node ids below 65536 cast
-                # losslessly, so the permutation is identical.
-                if len(nodes) <= 0xFFFF:
-                    rxs = rxs.astype(np.uint16)
-                    txs = txs.astype(np.uint16)
-                order = np.argsort(rxs, kind="stable")
-                rxs = rxs[order]
-                txs = txs[order]
-        else:
-            chunk = max(1, _PAIR_CHUNK_ELEMS // max(len(nodes), 1))
-            sx = snap_pos[:, 0][:, None]
-            sy = snap_pos[:, 1][:, None]
-            for s in range(0, n_tx, chunk):
-                e = min(s + chunk, n_tx)
-                # Receiver-major (n_nodes, chunk) masks from 2D
-                # temporaries: dx*dx + dy*dy is the same two-term sum
-                # as the reference (d * d).sum(axis=-1) — identical
-                # accepted pairs — without materialising a 3D
-                # difference array.
-                dx = sx - centers[s:e, 0]
-                dy = sy - centers[s:e, 1]
-                dx *= dx
-                dy *= dy
-                dx += dy
-                in_range = dx <= r2
-                in_range &= active[:, None]
-                in_range[tx_ids[s:e], np.arange(e - s)] = False
-                counts = in_range.sum(axis=0)
-                air_rx = self.airtime_rx_s
-                for c in counts.tolist():
-                    air_rx += hello_air * c
-                self.airtime_rx_s = air_rx
-                rxs, txs = np.nonzero(in_range)
-                if rxs.size == 0:
+        # Cell-grouped pass: transmitters sharing a grid cell share
+        # one candidate gather (their 3×3-cell neighborhood), so the
+        # pairwise test touches ~local-density rows per transmitter
+        # instead of all N.  The candidate set is a superset of
+        # every true receiver (cell size ≥ radius), filtered by the
+        # exact predicate below — accepted pairs are identical to
+        # per-transmitter ``query_radius`` calls, and the airtime
+        # accumulation loop afterwards adds per-transmitter terms in
+        # ascending transmitter order, as the scalar round does.
+        # With no failed nodes (the common case) the per-group
+        # active filter is an identity copy — skip it wholesale.
+        all_active = bool(active.all())
+        for q, cand in snap_index.grouped_candidates(centers, r):
+            if not all_active:
+                cand = cand[active[cand]]
+                if cand.size == 0:
                     continue
-                round_rxs.append(rxs)
-                # Shift chunk-local column indices to round-global
-                # entry indices so the whole round shares one index
-                # space.
-                round_txs.append(txs + s if s else txs)
-            if not round_rxs:
-                return
-            # One ingest per receiver per *round*, not per chunk: large
-            # fields split a round into many chunks, and each
-            # receiver's per-chunk slice averages only a few rows — the
-            # per-call dispatch dominates.  The stable receiver sort
-            # preserves each receiver's ascending-transmitter row order
-            # across chunks, and table content is order-independent
-            # anyway (each (rx, tx) pair appears once per round; reads
-            # sort by address).
+            # one fancy-index gather per group; the column views
+            # reproduce the reference dx*dx + dy*dy term order
+            sp = snap_pos[cand]
+            cq = centers[q]
+            dx = sp[:, :1] - cq[:, 0]
+            dy = sp[:, 1:] - cq[:, 1]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            rl, tl = np.nonzero(dx <= r2)
+            if rl.size:
+                round_rxs.append(cand[rl])
+                round_txs.append(q[tl])
+        # Self-pairs are excluded in ONE global compare over the
+        # round's accepted pairs (each transmitter is its own
+        # candidate exactly once), and the per-transmitter receiver
+        # counts come from ONE bincount over the surviving pair
+        # list — identical counts to per-group exclusion matrices
+        # and scatters, without ~2 small-array passes per grid
+        # cell.  Pair order within a receiver differs from the
+        # ascending-transmitter order only across groups, which is
+        # unobservable: each (rx, tx) pair appears once per round
+        # and every table read sorts by address.
+        if round_rxs:
             if len(round_rxs) == 1:
                 rxs, txs = round_rxs[0], round_txs[0]
             else:
                 rxs = np.concatenate(round_rxs)
                 txs = np.concatenate(round_txs)
-                keys = (
-                    rxs.astype(np.uint16) if len(nodes) <= 0xFFFF else rxs
-                )
-                order = np.argsort(keys, kind="stable")
-                rxs = rxs[order]
-                txs = txs[order]
+            keep = rxs != tx_ids[txs]
+            rxs = rxs[keep]
+            txs = txs[keep]
+            counts = np.bincount(txs, minlength=n_tx)
+        else:
+            rxs = txs = None
+            counts = np.zeros(n_tx, dtype=np.int64)
+        air_rx = self.airtime_rx_s
+        for c in counts.tolist():
+            air_rx += hello_air * c
+        self.airtime_rx_s = air_rx
+        if rxs is None or rxs.size == 0:
+            return
+        # Group the pairs by receiver (stable, so each receiver's rows
+        # keep their order).  The sort runs for every round, one
+        # candidate group or many, so there is one path to test.
+        # Narrow pair arrays: stable-sorting uint16 keys is ~4× faster
+        # than int64 at these sizes (and the sort-order gathers shrink
+        # with them); node ids below 65536 cast losslessly, so the
+        # permutation is identical.
+        if len(nodes) <= 0xFFFF:
+            rxs = rxs.astype(np.uint16)
+            txs = txs.astype(np.uint16)
+        order = np.argsort(rxs, kind="stable")
+        rxs = rxs[order]
+        txs = txs[order]
         # ``txs`` stays a numpy array: receivers that never read their
         # table before the slice is superseded never pay to materialise
         # their rows, so converting the whole round's pair list to
@@ -789,20 +717,8 @@ class Network:
         heads = rxs[[0, *ends]].tolist()
         ends.append(len(txs))
         a = 0
-        # Inlined ``NeighborTable.ingest_shared`` (one slice append per
-        # receiver, ~N of them per round): the method-call dispatch
-        # alone is a measurable share of the round at large N.  Keep
-        # the two paths in lockstep — this is the same queue append,
-        # same eager-flush bound, same cache invalidation.
-        pending_max = NeighborTable._PENDING_MAX
         for rid, b in zip(heads, ends):
-            nt = nodes[rid].neighbors
-            pending = nt._pending
-            if len(pending) >= pending_max:
-                nt._apply_pending()
-            pending.append((entries, txs, a, b, 0, tx_list))
-            nt._sorted = None
-            nt._columns = None
+            nodes[rid].neighbors.ingest_shared(entries, txs, a, b, tx_list)
             a = b
 
     def stop_hello(self) -> None:

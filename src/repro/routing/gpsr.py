@@ -26,9 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from repro.net.neighbor_table import NeighborEntry, NeighborTable
+from repro.net.neighbor_table import NeighborEntry
 from repro.net.node import Node
 from repro.net.packet import Packet, PacketKind
 from repro.geometry.primitives import Point
@@ -56,59 +54,6 @@ def next_hop_greedy(
         d = e.position.sq_distance_to(target)
         if d < best_d - _PROGRESS_EPS:
             best = e
-            best_d = d
-    return best
-
-
-#: Neighborhood size at which the batched greedy path switches from
-#: the scalar epsilon chain to the NumPy vector pass.  Measured
-#: crossover on this kernel: the vector pass (with its column-cache
-#: build amortised over a round's decisions) wins from ~36 rows; below
-#: that the scalar loop's lack of fixed per-array overhead wins.  Same
-#: adaptive-cutover idiom as ``Network._REBUCKET_FRACTION``.
-_BATCH_MIN = 36
-
-
-def next_hop_greedy_batched(
-    self_pos: Point,
-    target: Point,
-    table: NeighborTable,
-    now: float,
-    batch_min: int = _BATCH_MIN,
-) -> NeighborEntry | None:
-    """:func:`next_hop_greedy` over a table's cached column arrays.
-
-    Node-for-node identical to the scalar path over
-    ``table.live_entries(now)`` at any ``batch_min``: squared distances
-    come out of one vector pass (``dx*dx + dy*dy`` elementwise — the
-    exact two-term IEEE sum ``Point.sq_distance_to`` computes), and the
-    scalar epsilon chain is then replayed over only the candidates that
-    could ever win it.  A row updates the scalar chain's ``best`` only
-    if ``d < best_d - eps`` with ``best_d`` starting at the own
-    distance and only ever decreasing, so every winner satisfies
-    ``d < own - eps`` — the vector prefilter — and candidate order
-    (ascending address) matches the scalar iteration order.
-
-    Small neighborhoods (fewer than ``batch_min`` rows) run the scalar
-    chain directly: per-array fixed overhead exceeds the whole loop
-    there, and the result is identical either way.
-    """
-    if len(table) < batch_min:
-        return next_hop_greedy(self_pos, target, table.live_entries(now))
-    rows, xs, ys, seen = table.columns()
-    dx = xs - target.x
-    dy = ys - target.y
-    d2 = dx * dx + dy * dy
-    own = self_pos.sq_distance_to(target)
-    mask = d2 < own - _PROGRESS_EPS
-    mask &= seen >= now - table.ttl
-    cand = np.flatnonzero(mask)
-    best: NeighborEntry | None = None
-    best_d = own
-    for i in cand.tolist():
-        d = d2[i]
-        if d < best_d - _PROGRESS_EPS:
-            best = rows[i]
             best_d = d
     return best
 
@@ -264,15 +209,14 @@ class GpsrProtocol(RoutingProtocol):
                 hdr.perimeter_entry = None
 
         if hdr.mode == "greedy":
-            choice = next_hop_greedy_batched(self_pos, hdr.target, table, now)
+            live = table.live_entries(now)
+            choice = next_hop_greedy(self_pos, hdr.target, live)
             if choice is None:
-                # Local maximum: enter perimeter mode.  The row list is
-                # only materialised on this (rare) fallback path.
+                # Local maximum: enter perimeter mode.
                 hdr.mode = "perimeter"
                 hdr.perimeter_entry = self_pos
                 choice = next_hop_right_hand(
-                    self_pos, hdr.prev_pos or hdr.target,
-                    table.live_entries(now),
+                    self_pos, hdr.prev_pos or hdr.target, live
                 )
         else:
             choice = next_hop_right_hand(

@@ -20,20 +20,13 @@ Frame deliveries go one step further: :meth:`schedule_deliver` pushes a
 *typed record* ``(time, priority, seq, OP_DELIVER, category, node,
 packet)`` with no callable at all, and the pop loop dispatches it with
 a direct ``node.deliver(packet)`` call — no closure or ``partial``
-allocation per frame on the dominant (``data``) schedule path.
+allocation per frame on the dominant (``data``) schedule path.  A
+broadcast's fan-out is one record per receiver, pushed in receiver
+order, so the block fires back-to-back at consecutive ``seq`` values.
 Cancelled events are counted live, making :meth:`pending` O(1), and
 the heap is compacted once more than half of it is dead so
 cancellation-heavy workloads (retransmit timers) cannot grow it
 unboundedly.
-
-Batched delivery records
-------------------------
-:meth:`schedule_deliver_batch` carries a co-temporal broadcast fan-out
-as one heap entry that reserves one sequence number per record, so the
-block dispatches back-to-back exactly where ``n`` individual records
-would have fired, at one heap push/pop for the lot.  Stopping (or
-stepping) between two records of a block re-queues the unfired tail
-under its reserved sequence numbers.
 """
 
 from __future__ import annotations
@@ -42,7 +35,7 @@ import heapq
 from math import isfinite
 from typing import Any, Callable
 
-from repro.sim.events import Event, EventHandle, OP_DELIVER, OP_DELIVER_BATCH
+from repro.sim.events import Event, EventHandle, OP_DELIVER
 from repro.sim.rng import RngRegistry
 
 #: Compaction threshold: dead entries tolerated before a rebuild is
@@ -79,10 +72,6 @@ class Engine:
         self._seq: int = 0
         self._stopped: bool = False
         self._n_cancelled: int = 0
-        # Records represented by queued batch entries beyond the heap
-        # slots they occupy (n - 1 per n-record batch), kept live so
-        # ``pending()`` stays O(1) and exact mid-batch.
-        self._batch_extra: int = 0
         self.rng = RngRegistry(seed)
         #: number of events processed so far (diagnostic)
         self.events_processed: int = 0
@@ -192,61 +181,6 @@ class Engine:
             (time, priority, seq, OP_DELIVER, category, node, packet),
         )
 
-    def schedule_deliver_batch(
-        self,
-        time: float,
-        targets: list,
-        packets: list,
-        priority: int = 0,
-        category: str = "data",
-    ) -> None:
-        """Schedule a co-temporal block of delivery records as one entry.
-
-        The broadcast fast lane: all receivers of a one-hop fan-out
-        hear the frame at the same ``(time, priority)``, so the block
-        rides a single heap entry instead of ``len(targets)`` pushes.
-        One sequence number is reserved *per record*, which makes the
-        global firing order — including anything scheduled re-entrantly
-        at the same instant — exactly what individual
-        :meth:`schedule_deliver` calls in the same order would produce.
-        ``events_processed``, per-category counts, and :meth:`pending`
-        all account per record, and :meth:`stop` between two records of
-        a block re-queues the unfired tail as individual records under
-        their reserved sequence numbers.
-
-        Raises
-        ------
-        SimulationError
-            If ``time`` is in the past or not finite, or the lists'
-            lengths differ.
-        """
-        if not isfinite(time):
-            raise SimulationError(f"non-finite event time {time!r}")
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time:.6f} < now={self._now:.6f}"
-            )
-        n = len(targets)
-        if n != len(packets):
-            raise SimulationError(
-                f"batch length mismatch: {n} targets, {len(packets)} packets"
-            )
-        if n == 0:
-            return
-        seq = self._seq
-        self._seq = seq + n
-        if n == 1:
-            heapq.heappush(
-                self._heap,
-                (time, priority, seq, OP_DELIVER, category, targets[0], packets[0]),
-            )
-            return
-        heapq.heappush(
-            self._heap,
-            (time, priority, seq, OP_DELIVER_BATCH, category, targets, packets),
-        )
-        self._batch_extra += n - 1
-
     # ------------------------------------------------------------------
     # cancellation bookkeeping
     # ------------------------------------------------------------------
@@ -281,15 +215,12 @@ class Engine:
     # execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Process the next pending record.
-
-        A batched delivery entry counts as one record per receiver, so
-        stepping through a block fires one delivery per call.
+        """Process the next pending event.
 
         Returns
         -------
         bool
-            ``True`` if a record was processed, ``False`` if the queue
+            ``True`` if an event was processed, ``False`` if the queue
             was empty (clock unchanged).
         """
         # A stop() left over from an earlier run() must not block it.
@@ -312,7 +243,7 @@ class Engine:
 
         Pops entries in ``(time, priority, seq)`` order and fires them
         until the queue is empty, the head lies beyond ``until``,
-        :meth:`stop` is called, or — with ``single`` — one record has
+        :meth:`stop` is called, or — with ``single`` — one event has
         fired.  Returns ``True`` only in that last case.
         """
         heap = self._heap
@@ -329,68 +260,30 @@ class Engine:
             fn = entry[3]
             category = entry[4]
             if type(fn) is int:
-                self._now = time_
-                if fn == OP_DELIVER:
-                    # Typed delivery record (the dominant entry kind):
-                    # one direct method call, no callback indirection.
-                    # Its own ``continue``: on CPython 3.11, falling
-                    # through to the shared tail measured ~25% slower.
-                    self.events_processed += 1
-                    counts[category] = counts.get(category, 0) + 1
-                    entry[5].deliver(entry[6])
-                    if single:
-                        return True
-                    continue
-                # Batch record: the co-temporal block fires
-                # back-to-back.  Counters move per record, and the
-                # popped entry's records leave ``_batch_extra`` one at
-                # a time so ``pending()`` stays exact from inside a
-                # delivery.
-                targets = entry[5]
-                packets = entry[6]
-                n = len(targets)
-                self._batch_extra += 1
-                j = 0
-                while j < n:
-                    self._batch_extra -= 1
-                    self.events_processed += 1
-                    counts[category] = counts.get(category, 0) + 1
-                    targets[j].deliver(packets[j])
-                    j += 1
-                    if j < n and (single or self._stopped):
-                        self._requeue_tail(entry, j)
-                        break
-            else:
-                ev = entry[5]
-                if ev is not None:
-                    if ev.cancelled:
-                        self._n_cancelled -= 1
-                        continue
-                    ev.fired = True
+                # Typed delivery record (the dominant entry kind): one
+                # direct method call, no callback indirection.  Its own
+                # ``continue``: on CPython 3.11, falling through to the
+                # shared tail measured ~25% slower.
                 self._now = time_
                 self.events_processed += 1
                 counts[category] = counts.get(category, 0) + 1
-                fn()
+                entry[5].deliver(entry[6])
+                if single:
+                    return True
+                continue
+            ev = entry[5]
+            if ev is not None:
+                if ev.cancelled:
+                    self._n_cancelled -= 1
+                    continue
+                ev.fired = True
+            self._now = time_
+            self.events_processed += 1
+            counts[category] = counts.get(category, 0) + 1
+            fn()
             if single:
                 return True
         return False
-
-    def _requeue_tail(self, entry: tuple, j: int) -> None:
-        """Push records ``j..`` of a partly fired batch entry back.
-
-        The tail keeps its reserved sequence numbers (``seq + j`` on),
-        so it fires exactly where the rest of the block would have.
-        """
-        time_, priority, seq, _, category, targets, packets = entry
-        if j == len(targets) - 1:
-            tail = (time_, priority, seq + j, OP_DELIVER, category,
-                    targets[j], packets[j])
-        else:
-            tail = (time_, priority, seq + j, OP_DELIVER_BATCH, category,
-                    targets[j:], packets[j:])
-        heapq.heappush(self._heap, tail)
-        # The tail's first record is now counted by its heap slot.
-        self._batch_extra -= 1
 
     def stop(self) -> None:
         """Stop a ``run`` in progress after the current event returns."""
@@ -400,12 +293,8 @@ class Engine:
     # introspection
     # ------------------------------------------------------------------
     def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued (O(1)).
-
-        Counts per *record*: each record a queued batch entry
-        represents counts once.
-        """
-        return len(self._heap) - self._n_cancelled + self._batch_extra
+        """Number of not-yet-cancelled events still queued (O(1))."""
+        return len(self._heap) - self._n_cancelled
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

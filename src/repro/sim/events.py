@@ -16,14 +16,9 @@ the receiver and packet in two trailing slots, eliminating the closure
 and argument-cell allocations a per-frame callback would cost.  Ordering
 is unchanged — records compare by the same ``(time, priority, seq)``
 prefix, and ``seq`` is unique so comparisons never reach the opcode.
-
-:data:`OP_DELIVER_BATCH` extends the idea to co-temporal fan-outs: a
-one-hop broadcast's receivers all hear the frame at the same
-``(time, priority)``, so the whole block rides one heap entry whose
-trailing slots hold the receiver and packet *lists*.  The entry
-reserves one sequence number per record (``seq .. seq + n - 1``), so
-its position in the global order — and the order of anything scheduled
-after it — is exactly what ``n`` individual records would produce.
+A broadcast's fan-out is one record per receiver, scheduled in
+receiver order, so the block takes consecutive sequence numbers and
+fires back-to-back.
 """
 
 from __future__ import annotations
@@ -33,10 +28,6 @@ from typing import Any, Callable
 
 #: Opcode of a typed delivery record: ``entry[5].deliver(entry[6])``.
 OP_DELIVER: int = 0
-
-#: Opcode of a batched delivery record: ``entry[5]`` / ``entry[6]`` are
-#: equal-length lists of receivers and packets dispatched as one block.
-OP_DELIVER_BATCH: int = 1
 
 
 @dataclass(order=True, slots=True)

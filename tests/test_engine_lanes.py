@@ -1,194 +1,25 @@
-"""Engine dispatch: batch records, timers, and step-vs-run parity.
+"""Engine dispatch: timers and step-vs-run parity.
 
 Every event lives on one heap ordered by ``(time, priority, seq)``, and
 ``run()`` and ``step()`` share one dispatch loop.  This suite pins:
 
-* batched ``OP_DELIVER_BATCH`` records — they fire in their reserved
-  sequence positions, ``pending()`` counts them per record, and
-  ``stop()`` or ``step()`` between two records re-queues the tail;
 * periodic-timer ordering, cancel accounting and ``run(until)``
   semantics;
 * a Hypothesis differential property: one engine drained with
   repeated ``step()`` and one drained with ``run()``, fed the same
   random schedule of periodic tasks (jittered and not, interval
-  changes, stop-after-k), batch deliveries and cancelled one-shots,
-  must produce identical firing logs, clocks, counters and pending
-  counts.
+  changes, stop-after-k), same-instant delivery fan-outs and cancelled
+  one-shots, must produce identical firing logs, clocks, counters and
+  pending counts.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import Engine
 from repro.sim.process import PeriodicTask
-
-
-class _Sink:
-    """Delivery target that logs ``deliver`` calls with the clock."""
-
-    def __init__(self, engine: Engine, log: list, name: str) -> None:
-        self._engine = engine
-        self._log = log
-        self.name = name
-
-    def deliver(self, packet) -> None:
-        self._log.append(("deliver", self.name, packet, self._engine.now))
-
-
-class _StoppingSink(_Sink):
-    """Stops the engine from inside its delivery."""
-
-    def deliver(self, packet) -> None:
-        super().deliver(packet)
-        self._engine.stop()
-
-
-class TestBatchRecords:
-    def test_batch_fires_in_reserved_sequence_positions(self):
-        """A batch behaves exactly like n individual pushes.
-
-        An event scheduled *after* the batch at the same (time,
-        priority) must fire after the whole block — its sequence number
-        is higher than every reserved one.
-        """
-        eng = Engine()
-        log: list = []
-        sinks = [_Sink(eng, log, f"s{i}") for i in range(3)]
-        eng.schedule_deliver_batch(1.0, sinks, ["a", "b", "c"])
-        eng.schedule_at(1.0, lambda: log.append(("after", eng.now)))
-        eng.schedule_at(
-            1.0, lambda: log.append(("prio", eng.now)), priority=-1
-        )
-        eng.run()
-        assert log == [
-            ("prio", 1.0),
-            ("deliver", "s0", "a", 1.0),
-            ("deliver", "s1", "b", 1.0),
-            ("deliver", "s2", "c", 1.0),
-            ("after", 1.0),
-        ]
-        assert eng.events_processed == 5
-
-    def test_batch_matches_individual_records(self):
-        """Differential: batch vs n schedule_deliver calls."""
-
-        def drive(batched: bool):
-            eng = Engine()
-            log: list = []
-            sinks = [_Sink(eng, log, f"s{i}") for i in range(4)]
-            if batched:
-                eng.schedule_deliver_batch(
-                    0.5, sinks, list("wxyz"), category="data"
-                )
-            else:
-                for s, p in zip(sinks, "wxyz"):
-                    eng.schedule_deliver(0.5, s, p, category="data")
-            eng.schedule_at(0.25, lambda: log.append(("early", eng.now)))
-            eng.run()
-            return log, eng.events_processed, dict(eng.event_counts)
-
-        assert drive(True) == drive(False)
-
-    def test_pending_counts_batch_records_individually(self):
-        eng = Engine()
-        log: list = []
-        sinks = [_Sink(eng, log, f"s{i}") for i in range(5)]
-        eng.schedule_deliver_batch(1.0, sinks, list(range(5)))
-        assert eng.pending() == 5
-        eng.schedule_deliver_batch(2.0, sinks[:1], ["solo"])
-        assert eng.pending() == 6  # n == 1 collapses to a plain record
-        eng.run()
-        assert eng.pending() == 0
-        assert eng.events_processed == 6
-
-    def test_stop_mid_batch_requeues_tail_under_reserved_seqs(self):
-        eng = Engine()
-        log: list = []
-        sinks = [
-            _Sink(eng, log, "s0"),
-            _StoppingSink(eng, log, "s1"),
-            _Sink(eng, log, "s2"),
-            _Sink(eng, log, "s3"),
-        ]
-        eng.schedule_deliver_batch(1.0, sinks, list("abcd"))
-        # Scheduled after the batch: must still fire after the whole
-        # block even though the block is interrupted and resumed.
-        eng.schedule_at(1.0, lambda: log.append(("after", eng.now)))
-        eng.run()
-        assert [e[1] for e in log if e[0] == "deliver"] == ["s0", "s1"]
-        assert eng.events_processed == 2
-        # the two unfired records (plus the callback) survive the stop
-        assert eng.pending() == 3
-        assert eng.now == 1.0
-        eng.run()
-        assert [e[1] for e in log if e[0] == "deliver"] == [
-            "s0", "s1", "s2", "s3"
-        ]
-        assert log[-1] == ("after", 1.0)
-        assert eng.pending() == 0
-        assert eng.events_processed == 5
-
-    def test_cancel_during_batch_takes_effect(self):
-        """A batch delivery cancelling a later heap event really stops it."""
-        eng = Engine()
-        log: list = []
-        handle_box: dict = {}
-
-        class _Canceller(_Sink):
-            def deliver(self, packet) -> None:
-                super().deliver(packet)
-                handle_box["h"].cancel()
-
-        sinks = [_Canceller(eng, log, "s0"), _Sink(eng, log, "s1")]
-        eng.schedule_deliver_batch(1.0, sinks, ["a", "b"])
-        handle_box["h"] = eng.schedule_at(
-            1.5, lambda: log.append(("doomed", eng.now))
-        )
-        eng.run()
-        assert ("doomed", 1.5) not in log
-        assert [e[1] for e in log if e[0] == "deliver"] == ["s0", "s1"]
-        assert eng.pending() == 0
-
-    def test_step_granularity_is_one_record(self):
-        eng = Engine()
-        log: list = []
-        sinks = [_Sink(eng, log, f"s{i}") for i in range(3)]
-        eng.schedule_deliver_batch(1.0, sinks, list("abc"))
-        assert eng.step() is True
-        assert len(log) == 1 and eng.pending() == 2
-        assert eng.step() is True
-        assert eng.step() is True
-        assert eng.step() is False
-        assert [e[1] for e in log] == ["s0", "s1", "s2"]
-        assert eng.events_processed == 3
-
-    def test_run_until_excludes_future_batch(self):
-        eng = Engine()
-        log: list = []
-        sinks = [_Sink(eng, log, "s")]
-        eng.schedule_deliver_batch(2.0, sinks * 2, ["a", "b"])
-        eng.run(until=1.0)
-        assert log == []
-        assert eng.now == 1.0
-        assert eng.pending() == 2
-
-    def test_batch_validation(self):
-        eng = Engine()
-        sink = _Sink(eng, [], "s")
-        with pytest.raises(SimulationError):
-            eng.schedule_deliver_batch(1.0, [sink], ["a", "b"])
-        with pytest.raises(SimulationError):
-            eng.schedule_deliver_batch(float("nan"), [sink], ["a"])
-        eng.schedule_at(1.0, lambda: None)
-        eng.run()
-        with pytest.raises(SimulationError):
-            eng.schedule_deliver_batch(0.5, [sink], ["a"])
-        # empty batches are a no-op, not an error
-        eng.schedule_deliver_batch(2.0, [], [])
-        assert eng.pending() == 0
 
 
 class TestTimers:
@@ -249,8 +80,9 @@ ONE_SHOT = st.tuples(
     st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
 )
 
-#: (time as a fraction of the horizon, number of receivers)
-BATCH = st.tuples(
+#: A same-instant fan-out: (time as a fraction of the horizon, number
+#: of receivers), scheduled as consecutive delivery records.
+FANOUT = st.tuples(
     st.floats(min_value=0.0, max_value=1.0),
     st.integers(min_value=0, max_value=4),
 )
@@ -269,7 +101,7 @@ class _Probe:
         self._note("deliver", self.name, packet)
 
 
-def _build(tasks_spec, shots, batches, until):
+def _build(tasks_spec, shots, fanouts, until):
     """An engine loaded with one generated schedule, and its firing log.
 
     Every firing logs the clock, ``events_processed`` and ``pending()``
@@ -289,12 +121,8 @@ def _build(tasks_spec, shots, batches, until):
         def cb() -> None:
             task = tasks[k]
             note("tick", k)
-            if fanout:
-                eng.schedule_deliver_batch(
-                    eng.now,
-                    sinks[:fanout],
-                    [(k, task.ticks, r) for r in range(fanout)],
-                )
+            for r in range(fanout):
+                eng.schedule_deliver(eng.now, sinks[r], (k, task.ticks, r))
             if new_interval is not None and task.ticks == 2:
                 task.set_interval(new_interval)
             if task.ticks == stop_after:
@@ -322,10 +150,9 @@ def _build(tasks_spec, shots, batches, until):
         )
         if cancel_at is not None:
             eng.schedule_at(cancel_at * until, handle.cancel)
-    for i, (at, n) in enumerate(batches):
-        eng.schedule_deliver_batch(
-            at * until, sinks[:n], [("b", i, r) for r in range(n)]
-        )
+    for i, (at, n) in enumerate(fanouts):
+        for r in range(n):
+            eng.schedule_deliver(at * until, sinks[r], ("b", i, r))
 
     def stop_all() -> None:
         note("horizon")
@@ -367,11 +194,11 @@ class TestStepRunParity:
     @given(
         specs=st.lists(TASK, min_size=1, max_size=5),
         shots=st.lists(ONE_SHOT, max_size=4),
-        batches=st.lists(BATCH, max_size=4),
+        fanouts=st.lists(FANOUT, max_size=4),
         until=HORIZON,
     )
-    def test_step_and_run_fire_identically(self, specs, shots, batches, until):
-        schedule = (specs, shots, batches, until)
+    def test_step_and_run_fire_identically(self, specs, shots, fanouts, until):
+        schedule = (specs, shots, fanouts, until)
         assert _drain_by_step(schedule) == _drain_by_run(schedule)
 
     @settings(max_examples=60, deadline=None)
@@ -396,11 +223,11 @@ class TestStepRunParity:
     @given(
         specs=st.lists(TASK, min_size=1, max_size=4),
         shots=st.lists(ONE_SHOT, max_size=3),
-        batches=st.lists(BATCH, max_size=3),
+        fanouts=st.lists(FANOUT, max_size=3),
         until=HORIZON,
         split=st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_step_matches_run_resume(self, specs, shots, batches, until, split):
+    def test_step_matches_run_resume(self, specs, shots, fanouts, until, split):
         """``run(until=...)`` then ``run()`` matches stepping throughout."""
-        schedule = (specs, shots, batches, until)
+        schedule = (specs, shots, fanouts, until)
         assert _drain_by_step(schedule) == _drain_by_run(schedule, split)

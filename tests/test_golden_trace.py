@@ -50,8 +50,8 @@ GOLDEN_CONFIGS = {
         },
     ),
     # Large-field config guarding the 1k-node fast lane (typed delivery
-    # records, batched greedy forwarding, round-batched hello ingest) at
-    # the paper's density scaled to 1000 nodes.
+    # records, cell-grouped hello rounds, lazy hello ingest) at the
+    # paper's density scaled to 1000 nodes.
     "alert_rwp_1k": ExperimentConfig(
         protocol="ALERT",
         n_nodes=1000,
@@ -61,8 +61,8 @@ GOLDEN_CONFIGS = {
         seed=11,
     ),
     # Large-field guard: big enough (≥2000 nodes) that hello rounds and
-    # broadcast fan-outs exercise the cell-grouped hello pass, batched
-    # OP_DELIVER_BATCH records, and lazy neighbor-table ingest at
+    # broadcast fan-outs exercise the cell-grouped hello pass, per-
+    # receiver delivery records, and lazy neighbor-table ingest at
     # scale; the trace pins their ordering against the recorded run.
     "alert_rwp_2k": ExperimentConfig(
         protocol="ALERT",

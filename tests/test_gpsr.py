@@ -11,7 +11,7 @@ from repro.experiments.metrics import MetricsCollector
 from repro.crypto.cost_model import CryptoCostModel
 from repro.geometry.primitives import Point
 from repro.location.service import LocationService
-from repro.net.neighbor_table import NeighborEntry
+from repro.net.neighbor_table import NeighborEntry, NeighborTable
 from repro.routing.gpsr import (
     GpsrConfig,
     GpsrProtocol,
@@ -41,6 +41,51 @@ class TestGreedy:
 
     def test_empty_neighborhood(self):
         assert next_hop_greedy(Point(0, 0), Point(1, 1), []) is None
+
+
+class TestGreedyOverTable:
+    """Greedy selection over a neighbor table's live rows."""
+
+    @staticmethod
+    def _table(rows: list[tuple[Point, float]]) -> NeighborTable:
+        table = NeighborTable(ttl=3.0)
+        for addr, (pos, last_seen) in enumerate(rows):
+            table.update(NeighborEntry(addr, b"p", pos, None, last_seen))
+        return table
+
+    def test_equidistant_tie_breaks_to_first_address(self):
+        # Two neighbors at mirrored positions, equal distance: the
+        # strict ``d < best - eps`` chain keeps the lowest address.
+        table = self._table([(Point(2.0, 1.0), 0.0), (Point(2.0, -1.0), 0.0)])
+        got = next_hop_greedy(
+            Point(0.0, 0.0), Point(4.0, 0.0), table.live_entries(0.0)
+        )
+        assert got is not None and got.link_address == 0
+
+    def test_expired_rows_never_win(self):
+        table = self._table([
+            (Point(3.9, 0.0), 0.0),   # closest but stale at now=5
+            (Point(3.0, 0.0), 5.0),   # live
+        ])
+        got = next_hop_greedy(
+            Point(0.0, 0.0), Point(4.0, 0.0), table.live_entries(5.0)
+        )
+        assert got is not None and got.link_address == 1
+
+    def test_no_progress_returns_none(self):
+        # Every neighbor farther from the target than self: local
+        # maximum, the perimeter-mode trigger.
+        table = self._table([(Point(0.0, 5.0), 0.0), (Point(5.0, 5.0), 0.0)])
+        got = next_hop_greedy(
+            Point(0.0, 0.0), Point(0.0, -1.0), table.live_entries(0.0)
+        )
+        assert got is None
+
+    def test_empty_table_returns_none(self):
+        got = next_hop_greedy(
+            Point(0.0, 0.0), Point(1.0, 0.0), self._table([]).live_entries(0.0)
+        )
+        assert got is None
 
 
 class TestGabriel:

@@ -256,3 +256,45 @@ class TestHelloRoundParity:
             assert a.neighbors.live_entries(now) == b.neighbors.live_entries(now)
         # dead nodes never transmit
         assert vec.nodes[0].tx_count == 0
+
+    #: Fields that steer the grouped pass down each of its branches:
+    #: one grid cell (a single candidate group), several cells (pairs
+    #: from many groups, merged by the receiver sort), and nodes too far
+    #: apart to hear each other (no accepted pair: the early return).
+    FIELDS = {
+        "one-cell": dict(n_nodes=30, field_size=200.0),
+        "default": dict(n_nodes=40, field_size=600.0),
+        "isolated": dict(n_nodes=6, field_size=100_000.0),
+    }
+
+    @pytest.mark.parametrize("failed", [(), (0, 3, 5)], ids=["live", "failed"])
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_matches_scalar_on_field(self, field, failed):
+        vec = build_network(seed=5, speed=20.0, **self.FIELDS[field])
+        ref = build_network(seed=5, speed=20.0, **self.FIELDS[field])
+        for net in (vec, ref):
+            for nid in failed:
+                net.nodes[nid].fail()
+        # The second round runs after nodes have moved between cells.
+        for t in (0.7, 6.0):
+            for net in (vec, ref):
+                net.engine.schedule_at(t, lambda: None)
+                net.engine.run()
+            vec._emit_hello_round()
+            emit_hello_round_scalar(ref)
+            # The round's own snapshot, still cached at this instant.
+            pos, index = vec.snapshot()
+            groups = index.grouped_candidates(pos, vec.radio.range_m)
+            if field == "one-cell":
+                assert len(groups) == 1
+            elif field == "default":
+                assert len(groups) > 1
+            assert vec.hello_tx == ref.hello_tx
+            assert vec.airtime_tx_s == ref.airtime_tx_s
+            assert vec.airtime_rx_s == ref.airtime_rx_s
+            now = vec.engine.now
+            for a, b in zip(vec.nodes, ref.nodes):
+                assert a.tx_count == b.tx_count
+                assert a.neighbors.live_entries(now) == b.neighbors.live_entries(now)
+            if field == "isolated":
+                assert vec.airtime_rx_s == 0.0

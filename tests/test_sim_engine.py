@@ -330,11 +330,18 @@ class TestReEntrantSameTimeOrder:
 
         eng.schedule_at(1.0, spawner)
         eng.schedule_deliver(1.0, _StubNode(order, "rec-queued"), "p")
+        # A broadcast fan-out: consecutive records at one instant.  The
+        # callback scheduled after it must fire after all of it.
+        for name in ("fan-0", "fan-1", "fan-2"):
+            eng.schedule_deliver(1.0, _StubNode(order, name), "f")
         eng.schedule_at(1.0, lambda: order.append("cb-queued"))
         eng.run()
         assert order == [
             "cb-spawner",
             ("rec-queued", "p"),
+            ("fan-0", "f"),
+            ("fan-1", "f"),
+            ("fan-2", "f"),
             "cb-queued",
             ("rec-spawned", "p"),
             "cb-spawned",

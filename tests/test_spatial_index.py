@@ -319,3 +319,47 @@ class TestAdversarialCollidingCells:
             r = cell_size * float(rng.uniform(0.4, 2.5))
             got = set(idx.query_radius(x, y, r).tolist())
             assert got == brute_radius(pos, x, y, r)
+
+
+# A coarse coordinate lattice makes exact boundary hits common instead
+# of measure-zero.
+coord = st.one_of(
+    st.integers(min_value=0, max_value=8).map(float),
+    st.floats(
+        min_value=0.0, max_value=8.0, allow_nan=False, allow_infinity=False
+    ),
+)
+
+
+class TestGroupedCandidatesParity:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        positions=st.lists(
+            st.tuples(coord, coord), min_size=0, max_size=40
+        ),
+        queries=st.lists(
+            st.tuples(coord, coord), min_size=1, max_size=20
+        ),
+        radius=st.floats(min_value=0.25, max_value=4.0, allow_nan=False),
+    )
+    def test_filtered_groups_match_query_radius(
+        self, positions, queries, radius
+    ):
+        pos = np.array(positions, dtype=np.float64).reshape(-1, 2)
+        index = GridIndex(pos.copy(), cell_size=radius)
+        pts = np.array(queries, dtype=np.float64)
+        got: dict[int, np.ndarray] = {}
+        for q_idx, cand in index.grouped_candidates(pts, radius):
+            for qi in q_idx.tolist():
+                if cand.size == 0:
+                    got[qi] = cand
+                    continue
+                d = pos[cand] - pts[qi]
+                mask = (d * d).sum(axis=1) <= radius * radius
+                hits = cand[mask]
+                hits.sort()
+                got[qi] = hits
+        assert sorted(got) == list(range(len(queries)))
+        for qi, (x, y) in enumerate(queries):
+            expected = index.query_radius(float(x), float(y), radius)
+            np.testing.assert_array_equal(got[qi], expected)
