@@ -6,7 +6,9 @@ lazy hello ingest) targets fields an order of magnitude
 bigger.  This harness runs one seeded ALERT simulation per population
 at the paper's density (200 nodes per 1000 m × 1000 m, so the field
 side grows as ``1000·sqrt(N/200)``) and records the *event-loop* cost
-per processed event.
+per processed event, next to its delivery rate, mean hops and mean
+destination-zone population: a timing is only worth gating on a
+workload that delivers.
 
 Setup cost (key generation, registration, network build) is fixed per
 run and grows with N, so naive ``wall / events`` would drown the loop
@@ -52,6 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from _common import event_rate, us_per_event
+from check_perf_regression import MIN_DELIVERY_RATE
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 
@@ -86,7 +89,10 @@ def scale_config(n_nodes: int, duration: float = SCALE_DURATION) -> ExperimentCo
 
     Field side ``1000·sqrt(N/200)`` keeps 200 nodes per km²; pair count
     scales as N/50 so offered load per node matches the 200-node
-    default (10 pairs).
+    default (10 pairs).  ``H`` is derived from ``k`` (``H =
+    log2(ρG/k)``, paper §1) so destination zones keep about k nodes;
+    the 200-node default's fixed ``H = 5`` would leave ~N/32 nodes per
+    zone and stop delivering as N grows.
     """
     return ExperimentConfig(
         protocol="ALERT",
@@ -94,6 +100,7 @@ def scale_config(n_nodes: int, duration: float = SCALE_DURATION) -> ExperimentCo
         field_size=round(1000.0 * math.sqrt(n_nodes / 200.0), 1),
         duration=duration,
         n_pairs=n_nodes // 50,
+        h_override=None,
         seed=SCALE_SEED,
     )
 
@@ -119,6 +126,8 @@ def bench_scale_point(n_nodes: int, reps: int) -> dict:
         walls.append(time.perf_counter() - t0)
         setups.append(marks[0])
     events = result.engine.events_processed
+    counters = result.metrics.counters
+    zone_broadcasts = counters.get("zone_broadcasts", 0.0)
     loops = [w - s for w, s in zip(walls, setups)]
     wall = float(np.mean(walls))
     setup = float(np.mean(setups))
@@ -140,6 +149,13 @@ def bench_scale_point(n_nodes: int, reps: int) -> dict:
         },
         "us_per_event": us_per_event(events, loop),
         "events_per_s": event_rate(events, loop),
+        "delivery_rate": result.delivery_rate,
+        "mean_hops": result.mean_hops,
+        "mean_zone_population": (
+            counters.get("zone_population", 0.0) / zone_broadcasts
+            if zone_broadcasts
+            else float("nan")
+        ),
     }
 
 
@@ -189,7 +205,9 @@ def run_scale(quick: bool = False, isolate: bool = True) -> dict:
             f"({point['events_per_s']:.0f} events/s, "
             f"loop {point['loop_mean_s']:.2f} s, "
             f"setup {point['setup_mean_s']:.2f} s, "
-            f"{point['events_processed']} events)",
+            f"{point['events_processed']} events; "
+            f"delivery {point['delivery_rate']:.3f}, "
+            f"{point['mean_hops']:.2f} hops)",
             flush=True,
         )
     return section
@@ -274,6 +292,8 @@ def test_scale_harness_smoke(tmp_path):
         point["events_per_s"] * point["us_per_event"], 1e6, rel_tol=1e-12
     )
     assert sum(point["event_counts"].values()) == point["events_processed"]
+    assert point["delivery_rate"] >= MIN_DELIVERY_RATE
+    assert point["mean_hops"] > 0.0
     out = tmp_path / "BENCH_perf.json"
     report = merge_report(out, section)
     assert json.loads(out.read_text())["scale"] == report["scale"]

@@ -28,7 +28,10 @@ scheduler noise) and falls back to ``loop_mean_s`` for reports that
 predate the field.  It gates ``setup_min_s`` (network build, key
 generation, registration) the same way, and skips that check when
 either report predates the field.  Reports that predate the scale
-harness entirely skip this gate instead of failing it.
+harness entirely skip the timing comparison instead of failing it.
+The same gate fails every candidate scale point whose
+``delivery_rate`` is below :data:`MIN_DELIVERY_RATE`: a timing taken
+on a workload that stopped delivering measures nothing.
 
 A third gate covers the ``traffic`` section written by
 ``benchmarks/bench_traffic_adaptive.py``.  Unlike the other two it is
@@ -52,6 +55,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+#: Lowest delivery rate a scale point may record (``bench_scale.py``).
+MIN_DELIVERY_RATE = 0.95
 
 
 def _events(run: dict) -> int:
@@ -116,10 +122,15 @@ def check_scale(
     scale harness, the gate is skipped rather than failed so older
     baselines don't block CI.
     """
+    cand_section = candidate.get("scale") or {}
+    delivery_ok, delivery_summary = _check_delivery(cand_section)
     base = (baseline.get("scale") or {}).get("n1000")
-    cand = (candidate.get("scale") or {}).get("n1000")
+    cand = cand_section.get("n1000")
     if base is None or cand is None:
-        return True, "scale n1000: skipped (section missing from a report)"
+        return delivery_ok, (
+            "scale n1000: skipped (section missing from a report)\n"
+            + delivery_summary
+        )
     if base.get("sim_duration_s") == cand.get("sim_duration_s"):
         if "loop_min_s" in base and "loop_min_s" in cand:
             b, c = base["loop_min_s"], cand["loop_min_s"]
@@ -140,7 +151,24 @@ def check_scale(
         setup_summary = (
             "scale n1000 [setup_min_s]: skipped (field missing from a report)"
         )
-    return ok, f"{summary}\n{setup_summary}"
+    return ok and delivery_ok, f"{summary}\n{setup_summary}\n{delivery_summary}"
+
+
+def _check_delivery(section: dict) -> tuple[bool, str]:
+    """Fail scale points of ``section`` that deliver too little."""
+    rates = {
+        name: point["delivery_rate"]
+        for name, point in sorted(section.items())
+        if isinstance(point, dict) and "delivery_rate" in point
+    }
+    if not rates:
+        return True, "scale delivery: skipped (no point records delivery_rate)"
+    low = [name for name, rate in rates.items() if not rate >= MIN_DELIVERY_RATE]
+    listed = ", ".join(f"{name} {rate:.3f}" for name, rate in rates.items())
+    summary = f"scale delivery: {listed} (floor {MIN_DELIVERY_RATE})"
+    if low:
+        return False, f"{summary} | below the floor: {', '.join(low)}"
+    return True, summary
 
 
 def _scale_line(
@@ -374,6 +402,47 @@ def test_scale_gate_falls_back_on_duration_mismatch():
     cand = _scale_report(5.2, events=50000, duration=10.0)
     ok, summary = check_scale(base, cand, 0.25)
     assert ok and "duration mismatch" in summary
+
+
+def test_scale_gate_fails_a_point_below_delivery_floor():
+    base, cand = _scale_report(5.0), _scale_report(5.0)
+    cand["scale"]["n1000"]["delivery_rate"] = 0.988
+    ok, summary = check_scale(base, cand, 0.25)
+    assert ok and "n1000 0.988 (floor 0.95)" in summary
+    cand["scale"]["n2000"] = {"delivery_rate": 0.64}
+    ok, summary = check_scale(base, cand, 0.25)
+    assert not ok and "below the floor: n2000" in summary
+
+
+def test_scale_gate_fails_nan_delivery():
+    cand = _scale_report(5.0)
+    cand["scale"]["n1000"]["delivery_rate"] = float("nan")
+    ok, _ = check_scale(_scale_report(5.0), cand, 0.25)
+    assert not ok
+
+
+def test_scale_delivery_gate_runs_without_baseline_section():
+    # Timing comparison skipped (old baseline), delivery still gated.
+    cand = _scale_report(5.0)
+    cand["scale"]["n1000"]["delivery_rate"] = 0.79
+    ok, summary = check_scale(_report(1.0, 1000, 10.0), cand, 0.25)
+    assert not ok and "skipped" in summary and "below the floor" in summary
+
+
+def test_scale_delivery_gate_skips_points_without_the_field():
+    ok, summary = check_scale(_scale_report(5.0), _scale_report(5.0), 0.25)
+    assert ok and "scale delivery: skipped" in summary
+
+
+def test_main_fails_on_scale_delivery(tmp_path):
+    cand_report = _scale_report(5.0)
+    cand_report["scale"]["n1000"]["delivery_rate"] = 0.5
+    base = tmp_path / "base.json"
+    cand = tmp_path / "cand.json"
+    base.write_text(json.dumps(_scale_report(5.0)))
+    cand.write_text(json.dumps(cand_report))
+    rc = main(["--baseline", str(base), "--candidate", str(cand)])
+    assert rc == 1
 
 
 def test_scale_gate_skips_when_section_missing():

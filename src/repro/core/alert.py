@@ -270,45 +270,54 @@ class AlertProtocol(RoutingProtocol):
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, node: Node, packet: Packet) -> None:
+    def _receive(self, node: Node, packet: Packet) -> None:
+        """Every ALERT reception: decide on the frame, copy only to act.
+
+        A broadcast frame is shared by all its receivers, so everything
+        up to the decision only reads it.  A zone broadcast reaches
+        mostly nodes outside ``Z_D``: they drop it without a copy.
+        Zone members other than the destination at most rebroadcast
+        it, which forks a branch of its own.  Only the destination
+        (and any non-zone frame) accepts its own branch and handles it
+        like an owned unicast.
+        """
         if packet.kind is PacketKind.COVER:
             self.notify.handle_cover(node, packet)
             return
-        if not isinstance(packet.header, AlertHeader):
+        hdr = packet.header
+        if not isinstance(hdr, AlertHeader):
             return
-        self._on_packet(node, packet)
-
-    def _on_packet(self, node: Node, packet: Packet) -> None:
-        hdr: AlertHeader = packet.header
-        # Dedup key: a node may handle the same packet again in a later
-        # RF round / with a different TD (routes legitimately revisit
-        # nodes after re-partitioning), but never twice for the same
-        # (stage, round, TD) — that would be a genuine loop or a
-        # duplicate broadcast fork.
-        td = hdr.td
-        key = (
-            hdr.session,
-            hdr.seq,
-            node.id,
-            # The enum's value: 1:1 with the member, and its str hash is
-            # cached on the singleton, unlike Enum.__hash__ (pure Python,
-            # re-run per lookup — this key is built for every reception).
-            # ``_value_`` skips the DynamicClassAttribute descriptor.
-            hdr.ptype._value_,
-            hdr.zone_stage,
-            hdr.rf_rounds,
-            (round(td.x, 6), round(td.y, 6)) if td is not None else None,
-        )
+        shared = packet.shared
+        if shared:
+            # One key per frame, not per receiver: the header is frozen.
+            frame_key = hdr._frame_key
+            if frame_key is None:
+                frame_key = hdr._frame_key = hdr.frame_key()
+        else:
+            frame_key = hdr.frame_key()
+        # Recorded even for a frame dropped below, so that the same
+        # frame heard again (say, after moving into Z_D) stays a
+        # duplicate.
         seen = self._seen
         before = len(seen)
-        seen.add(key)
+        seen.add((frame_key, node.id))
         if len(seen) == before:  # single hash for the probe + insert
             return
-        hdr.segment.retries = 0  # fresh hop, fresh link-retry budget
 
         now = self.engine.now
         pos = node.position(now)
         in_zone = hdr.zone_dst.contains(pos)
+        if shared:
+            if hdr.zone_stage != 0 and node.id != packet.dst:
+                # A zone broadcast for someone else.  Outside Z_D it is
+                # dropped; inside, the zone phase only reads it (a
+                # rebroadcast forks its own branch).
+                if in_zone:
+                    self._zone_phase(node, packet)
+                return
+            packet = packet.accept(node.id)
+            hdr = packet.header
+        hdr.segment.retries = 0  # fresh hop, fresh link-retry budget
 
         if self._is_final_recipient(node, packet):
             self._deliver_at_recipient(node, packet)
@@ -324,8 +333,6 @@ class AlertProtocol(RoutingProtocol):
             self._zone_phase(node, packet)
         elif hdr.zone_stage == 0:
             self._segment_forward(node, packet)
-        # Out-of-zone receivers of a zone broadcast drop the packet:
-        # only the destination (handled above) may react to it.
 
     # ------------------------------------------------------------------
     # RF / segment machinery
@@ -416,21 +423,22 @@ class AlertProtocol(RoutingProtocol):
                 node, c, packet, reason
             ),
             flow=packet.flow_id,
-            overhear_fork=self._overhear_fork(packet),
+            overhear_fork=self._overhear_listener(packet),
         )
 
-    def _overhear_fork(self, packet: Packet) -> tuple[int, Packet] | None:
+    def _overhear_listener(self, packet: Packet) -> int | None:
         """Promiscuous destination reception (see AlertConfig).
 
         A unicast frame is physically audible to every node in range of
         the transmitter; the destination recognises its cleartext
         pseudonym ``P_D`` and accepts the packet.  The true-id handle
-        below is the simulator's stand-in for that radio truth — the
-        protocol never routes on it.
+        returned here is the simulator's stand-in for that radio truth
+        — the protocol never routes on it.  ``Network.unicast`` forks
+        the packet for it only if it can hear the frame.
         """
         if not self.config.promiscuous_destination or packet.dst < 0:
             return None
-        return packet.dst, packet.fork()
+        return packet.dst
 
     def _on_link_failure(self, node: Node, choice, packet: Packet, reason: str) -> None:
         hdr: AlertHeader = packet.header
@@ -447,6 +455,11 @@ class AlertProtocol(RoutingProtocol):
     # destination-zone phase
     # ------------------------------------------------------------------
     def _zone_phase(self, node: Node, packet: Packet) -> None:
+        """In-zone handling by zone stage.
+
+        Stages 1 and 2 only read ``packet``, which may be a shared
+        broadcast frame; stage 0 routes it and must own it.
+        """
         hdr: AlertHeader = packet.header
         if hdr.zone_stage == 0:
             if self.config.intersection_defense and hdr.ptype is AlertPacketType.RREQ:
@@ -509,20 +522,32 @@ class AlertProtocol(RoutingProtocol):
 
     def _maybe_rebroadcast(self, node: Node, packet: Packet) -> None:
         """Second-hop zone coverage: the member nearest the zone center
-        rebroadcasts once (local decision from its own neighbor table)."""
+        rebroadcasts once (local decision from its own neighbor table).
+
+        ``packet`` may be the shared frame of the zone broadcast: it is
+        only read, and the rebroadcast goes out on a fork of it.
+        """
         if not self.config.zone_flood:
             return
         hdr: AlertHeader = packet.header
         now = self.engine.now
         pos = node.position(now)
-        center = hdr.zone_dst.center
+        zone = hdr.zone_dst
+        center = zone.center
         my_d = pos.sq_distance_to(center)
         threshold = my_d - 1e-9
-        contains = hdr.zone_dst.contains
+        # zone.contains(ep) and ep.sq_distance_to(center), inlined:
+        # the same comparisons and float operations, in the same order.
+        x0, y0, x1, y1 = zone.x0, zone.y0, zone.x1, zone.y1
+        cx, cy = center.x, center.y
         for e in node.neighbors.live_entries(now):
             ep = e.position
-            if contains(ep) and ep.sq_distance_to(center) < threshold:
-                return  # someone more central will do it
+            x, y = ep.x, ep.y
+            if x0 <= x < x1 and y0 <= y < y1:
+                dx = x - cx
+                dy = y - cy
+                if dx * dx + dy * dy < threshold:
+                    return  # someone more central will do it
         branch = packet.fork()
         branch.header.zone_stage = 2
         self._mark_participant(packet, node.id)

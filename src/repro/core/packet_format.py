@@ -86,22 +86,52 @@ class AlertHeader:
     zone_stage: int = 0
     #: set once the RF-round budget is exhausted (last-ditch GPSR run)
     fallback: bool = False
+    #: :meth:`frame_key` memo, kept only on the read-only header of a
+    #: shared broadcast frame (every receiver asks for it); not a
+    #: field, and :meth:`clone` drops it, because a branch's header
+    #: changes under routing.
+    _frame_key = None
 
     def flip_direction(self) -> None:
         """Flip the partition-direction bit (done by each RF, §2.5)."""
         self.direction = self.direction.flip()
 
+    def frame_key(self) -> tuple:
+        """What one reception of this header is, for receiver dedup.
+
+        A node may handle the same packet again in a later RF round or
+        with a different TD (routes legitimately revisit nodes after
+        re-partitioning), but never twice for the same (stage, round,
+        TD): that would be a genuine loop or a duplicate broadcast.
+        Receivers pair this key with their node id.
+        """
+        td = self.td
+        return (
+            self.session,
+            self.seq,
+            # The enum's value: 1:1 with the member, and its str hash is
+            # cached on the singleton, unlike Enum.__hash__ (pure Python,
+            # re-run per lookup).  ``_value_`` skips the
+            # DynamicClassAttribute descriptor.
+            self.ptype._value_,
+            self.zone_stage,
+            self.rf_rounds,
+            (round(td.x, 6), round(td.y, 6)) if td is not None else None,
+        )
+
     def clone(self) -> "AlertHeader":
-        """Deep-enough copy for broadcast branches.
+        """Deep-enough copy for a packet branch.
 
         :meth:`repro.net.packet.Packet.fork` calls this for every
-        broadcast branch, so each receiver can mutate routing state
-        (zone stage, bitmap chain, segment) without affecting siblings.
+        branch: the snapshot a broadcast puts on the air and the
+        branch each acting receiver takes with ``Packet.accept``, so
+        a receiver can mutate routing state (zone stage, bitmap chain,
+        segment) without affecting the frame or its siblings.
         The mutable ``bitmap_chain`` list and ``segment`` record are
-        copied; everything else is immutable and shared.  Built via
-        ``__dict__`` copy rather than the 18-keyword constructor: every
-        broadcast branch pays this, making it one of the hottest
-        allocation sites of a run.
+        copied; everything else is immutable and shared.  The
+        :meth:`frame_key` memo is not carried over.  Built via
+        ``__dict__`` copy rather than the 18-keyword constructor: this
+        is one of the hottest allocation sites of a run.
         """
         new = object.__new__(AlertHeader)
         d = new.__dict__
@@ -110,6 +140,7 @@ class AlertHeader:
         seg = object.__new__(SegmentState)
         seg.__dict__.update(self.segment.__dict__)
         d["segment"] = seg
+        d["_frame_key"] = None
         return new
 
 

@@ -329,23 +329,24 @@ class Network:
         sender_id: int,
         receiver_id: int,
         packet: Packet,
-        on_delivered: Callable[[Node], None] | None = None,
         on_failed: Callable[[str], None] | None = None,
         flow: int | None = None,
-        overhear_fork: tuple[int, Packet] | None = None,
+        overhear_fork: int | None = None,
     ) -> None:
         """One-hop acknowledged frame exchange.
 
         Failure modes: the receiver is out of range (stale neighbor
         table) or the MAC retry limit is exhausted.  Delivery invokes
-        the receiver's protocol hook and then ``on_delivered``; failure
-        invokes ``on_failed(reason)`` after the wasted airtime elapses.
+        the receiver's protocol hook; failure invokes
+        ``on_failed(reason)`` after the wasted airtime elapses.  The
+        receiver owns the delivered packet.
 
-        ``overhear_fork`` optionally names a promiscuous listener: if
-        that ``(node_id, prepared_packet)`` target is in range of the
-        sender when the frame goes on the air, the prepared packet is
-        delivered to it with the same MAC timing as the exchange —
-        radio frames are broadcast by nature, ACKed or not.
+        ``overhear_fork`` optionally names a promiscuous listener by
+        node id: if it is active and in range of the sender when the
+        frame goes on the air, it is delivered a fork of ``packet``
+        (taken before this exchange touches it) with the same MAC
+        timing as the exchange — radio frames are broadcast by nature,
+        ACKed or not.  No copy is made for a listener that cannot hear.
         """
         if sender_id == receiver_id:
             raise ValueError("unicast to self")
@@ -355,6 +356,17 @@ class Network:
         spos = sender.position(now)
         rpos = receiver.position(now)
         dist = spos.distance_to(rpos)
+        overheard = None
+        if (
+            overhear_fork is not None
+            and overhear_fork != sender_id
+            and overhear_fork != receiver_id
+        ):
+            listener = self.nodes[overhear_fork]
+            if listener.active and self.radio.in_range(
+                spos.distance_to(listener.position(now))
+            ):
+                overheard = packet.fork()
         packet.record_visit(sender_id)
 
         airtime = self.radio.tx_time(packet.size_bytes)
@@ -384,57 +396,44 @@ class Network:
 
         category = _event_category(packet)
         if outcome.success:
-            if on_delivered is None:
-                # Typed delivery record: the dominant path schedules
-                # ``receiver.deliver(packet)`` with no closure at all.
-                self.engine.schedule_deliver(
-                    now + outcome.delay_s, receiver, packet,
-                    category=category,
-                )
-            else:
-                def _deliver() -> None:
-                    receiver.deliver(packet)
-                    on_delivered(receiver)
-
-                self.engine.schedule_in(
-                    outcome.delay_s, _deliver,
-                    category=category, cancellable=False,
-                )
+            self.engine.schedule_deliver(
+                now + outcome.delay_s, receiver, packet, category=category
+            )
         elif on_failed is not None:
             self.engine.schedule_in(
                 outcome.delay_s, lambda r=reason: on_failed(r),
                 category=category, cancellable=False,
             )
 
-        if overhear_fork is not None:
-            listener_id, prepared = overhear_fork
-            if listener_id != sender_id and listener_id != receiver_id:
-                listener = self.nodes[listener_id]
-                if listener.active and self.radio.in_range(
-                    spos.distance_to(listener.position(now))
-                ):
-                    self.engine.schedule_deliver(
-                        now + outcome.delay_s, listener, prepared,
-                        category=_event_category(prepared),
-                    )
+        if overheard is not None:
+            self.engine.schedule_deliver(
+                now + outcome.delay_s, listener, overheard,
+                category=_event_category(overheard),
+            )
 
     def local_broadcast(
         self,
         sender_id: int,
         packet: Packet,
-        on_delivered: Callable[[Node, Packet], None] | None = None,
         flow: int | None = None,
         restrict_to: Sequence[int] | None = None,
     ) -> list[int]:
         """One-hop unacknowledged broadcast.
 
-        Every in-range node receives a :meth:`~repro.net.packet.Packet.fork`
-        of ``packet`` — its own trace list *and* its own header copy,
-        so a receiver mutating per-hop routing state cannot corrupt a
-        sibling branch.  ``restrict_to``
-        optionally filters the receiver set by node id — used by
-        ALERT's destination-zone delivery where only zone members
-        process the frame (others drop it at the link layer).
+        The frame on the air is one snapshot of ``packet``: a
+        :meth:`~repro.net.packet.Packet.fork` marked
+        :attr:`~repro.net.packet.Packet.shared`, taken once and handed
+        to every in-range receiver, in receiver order.  Receivers must
+        treat it as read-only: a receiver that acts on the frame takes
+        its own branch with :meth:`~repro.net.packet.Packet.accept`
+        (own header, own trace, its visit recorded), so one receiver
+        mutating per-hop routing state cannot corrupt another's view,
+        and a receiver that drops the frame costs no copy.  Later
+        changes to ``packet`` by the sender do not reach the frame.
+
+        ``restrict_to`` optionally filters the receiver set by node
+        id — used by ALERT's destination-zone delivery where only zone
+        members process the frame (others drop it at the link layer).
 
         Returns the list of receiver ids (empty if the frame collided).
         """
@@ -459,29 +458,16 @@ class Network:
             allowed = set(restrict_to)
             receivers = [r for r in receivers if r in allowed]
 
+        if not receivers:
+            return receivers
+        frame = packet.fork()
+        frame.shared = True
         category = _event_category(packet)
         t_deliver = now + outcome.delay_s
-        if on_delivered is None:
-            # The dominant fire-and-forget fan-out: one typed delivery
-            # record per receiver, in receiver order.
-            nodes = self.nodes
-            deliver = self.engine.schedule_deliver
-            for rid in receivers:
-                deliver(t_deliver, nodes[rid], packet.fork(), category=category)
-            return receivers
-        schedule = self.engine.schedule_at
+        nodes = self.nodes
+        deliver = self.engine.schedule_deliver
         for rid in receivers:
-            node = self.nodes[rid]
-            branch = packet.fork()
-
-            def _deliver(n: Node = node, p: Packet = branch) -> None:
-                n.deliver(p)
-                on_delivered(n, p)
-
-            schedule(
-                t_deliver, _deliver,
-                category=category, cancellable=False,
-            )
+            deliver(t_deliver, nodes[rid], frame, category=category)
         return receivers
 
     # ------------------------------------------------------------------

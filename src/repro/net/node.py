@@ -120,9 +120,17 @@ class Node:
         return self.pseudonyms.current(t).digest
 
     def deliver(self, packet: "Packet") -> None:
-        """Link-layer delivery: count it and invoke the protocol hook."""
+        """Link-layer delivery: count it and invoke the protocol hook.
+
+        A unicast packet is owned by its receiver, so its visit is
+        recorded here.  A broadcast frame (``packet.shared``) is shared
+        by every receiver and reaches the hook unchanged; a receiver
+        that acts on it records its visit on its own branch via
+        :meth:`~repro.net.packet.Packet.accept`.
+        """
         self.rx_count += 1
-        packet.record_visit(self.id)
+        if not packet.shared:
+            packet.record_visit(self.id)
         if self.on_receive is not None:
             self.on_receive(self, packet)
 

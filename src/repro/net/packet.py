@@ -5,6 +5,11 @@ of §2.5) ride in ``header``; the link layer only looks at ``size_bytes``
 and the addressing fields.  ``trace`` accumulates the node ids a packet
 actually visited — the raw material for the participating-nodes and
 hops-per-packet metrics (§5.2 metrics 1 and 4).
+
+A one-hop broadcast puts one *shared frame* on the air: a read-only
+snapshot (:attr:`Packet.shared`) that every receiver is handed as is.
+A receiver that acts on it takes its own branch with
+:meth:`Packet.accept`; one that drops it copies nothing.
 """
 
 from __future__ import annotations
@@ -81,6 +86,11 @@ class Packet:
     transmissions: int = 0
     #: simulated crypto delay accumulated along the path (seconds)
     crypto_delay: float = 0.0
+    #: True on a broadcast frame shared by all its receivers: read it,
+    #: never mutate it (:meth:`accept` gives a receiver its own copy).
+    #: Not a field: it never enters the constructor, and only
+    #: ``Network.local_broadcast`` sets it, on the frame's instance.
+    shared = False
 
     @property
     def hops(self) -> int:
@@ -93,15 +103,21 @@ class Packet:
             self.trace.append(node_id)
 
     def fork(self, **overrides: Any) -> "Packet":
-        """Copy for broadcast fan-out: fresh uid, shared provenance.
+        """An independent, owned copy: fresh uid, shared provenance.
 
         The copy starts with the parent's trace (so path accounting
         stays meaningful for multicast deliveries) but gets its own
         list object, its own uid, and — unless ``header=`` is passed
         explicitly — its **own header copy** (:func:`clone_header`).
-        Broadcast receivers mutate per-hop routing state in the header
-        (retry counters, TTLs, zone stages); sharing one header object
-        across branches would let one receiver corrupt its siblings.
+        A fork is never :attr:`shared`, even when the parent is a
+        broadcast frame.
+
+        ``Network.local_broadcast`` forks the sender's packet once per
+        broadcast to snapshot the frame; receivers fork that frame
+        through :meth:`accept` only when they act on it, since they
+        mutate per-hop routing state in the header (retry counters,
+        TTLs, zone stages) and sharing one header object across
+        branches would let one receiver corrupt its siblings.
         """
         clone = object.__new__(Packet)
         d = clone.__dict__
@@ -109,7 +125,7 @@ class Packet:
         if overrides:
             d.update(overrides)
         if "header" not in overrides:
-            # clone_header, inlined: fan-out runs this per receiver.
+            # clone_header, inlined: this is the hottest copy of a run.
             h = self.header
             if h is not None:
                 method = getattr(h, "clone", None)
@@ -117,4 +133,18 @@ class Packet:
             d["header"] = h
         d["uid"] = next(_packet_ids)
         d["trace"] = list(self.trace)
+        d["shared"] = False
         return clone
+
+    def accept(self, node_id: int) -> "Packet":
+        """A receiver's own branch of this shared broadcast frame.
+
+        The branch is a :meth:`fork` of the frame with ``node_id``'s
+        visit recorded — the packet the receiver may mutate, forward
+        or deliver.  The frame itself stays as the sender put it on
+        the air, so every other receiver still reads the same bytes,
+        and a receiver that drops the frame never pays for a copy.
+        """
+        branch = self.fork()
+        branch.record_visit(node_id)
+        return branch

@@ -60,7 +60,7 @@ class RoutingProtocol(ABC):
         self.feedback: FlowFeedback | None = None
         network.tx_listener = self.metrics.record_tx
         for node in network.nodes:
-            node.on_receive = self._dispatch
+            node.on_receive = self._receive
 
     # ------------------------------------------------------------------
     # public API
@@ -107,9 +107,25 @@ class RoutingProtocol(ABC):
     def _initiate(self, packet: Packet) -> None:
         """Start routing a freshly created data packet from its source."""
 
-    @abstractmethod
+    def _receive(self, node: Node, packet: Packet) -> None:
+        """The protocol's receive hook: every link-layer delivery lands here.
+
+        ``packet`` is either a unicast the receiver owns or a broadcast
+        frame (``packet.shared``) that every receiver of that broadcast
+        is handed unchanged.  The default accepts a shared frame — the
+        receiver's own branch, :meth:`~repro.net.packet.Packet.accept`
+        — before :meth:`_dispatch`, so handlers may mutate what they
+        get.  A protocol that can reject frames without copying them
+        overrides this hook, reads the frame, and accepts only what it
+        acts on.
+        """
+        if packet.shared:
+            packet = packet.accept(node.id)
+        self._dispatch(node, packet)
+
     def _dispatch(self, node: Node, packet: Packet) -> None:
-        """Handle link-layer delivery of ``packet`` at ``node``."""
+        """Handle an owned ``packet`` delivered at ``node`` (see :meth:`_receive`)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # shared helpers

@@ -68,6 +68,21 @@ class TestPacket:
         assert q.size_bytes == 64
         assert q.src == p.src
 
+    def test_accept_branches_a_shared_frame(self):
+        p = make(header=ZapHeader(zone=Rect(0, 0, 50, 50), ttl=12))
+        p.record_visit(1)
+        frame = p.fork()
+        frame.shared = True
+        q = frame.accept(4)
+        assert not q.shared and not make().shared
+        assert q.uid not in (p.uid, frame.uid)
+        assert q.trace == [1, 4] and frame.trace == [1]
+        assert q.header is not frame.header
+        q.header.ttl -= 1
+        assert frame.header.ttl == 12
+        # A fork of a frame is owned too, whatever it is used for.
+        assert not frame.fork().shared
+
     def test_kinds_enumerated(self):
         assert {k.value for k in PacketKind} == {
             "data", "hello", "cover", "nak", "control",

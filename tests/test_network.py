@@ -146,25 +146,41 @@ class TestBroadcast:
         assert set(receivers) <= set(allowed)
 
     def test_forks_are_independent(self, static_network):
+        """One snapshot per broadcast, independent of the sender's packet
+        and handed to every receiver as is."""
         net = static_network
         seen = []
         for n in net.nodes:
-            n.on_receive = lambda node, pkt: seen.append(pkt)
-        net.local_broadcast(0, data_packet(src=0, dst=-1))
+            n.on_receive = lambda node, pkt: seen.append((node.id, pkt))
+        packet = data_packet(src=0, dst=-1)
+        packet.payload = b"payload"
+        receivers = net.local_broadcast(0, packet)
         net.engine.run()
-        uids = [p.uid for p in seen]
-        assert len(uids) == len(set(uids))
+        if len(receivers) < 2:
+            return  # collided frame / sparse neighborhood: nothing to check
+        frames = [pkt for _, pkt in seen]
+        assert [nid for nid, _ in seen] == receivers
+        assert len(set(map(id, frames))) == 1
+        frame = frames[0]
+        assert frame is not packet and frame.shared and not packet.shared
+        # The frame is the sender's packet as it went on the air, and no
+        # delivery touched it: no receiver's visit, no rewritten payload.
+        assert frame.trace == [0] == packet.trace
+        assert frame.header is None and frame.payload == b"payload"
+        assert {n.id for n in net.nodes if n.rx_count} == set(receivers)
 
     def test_receiver_header_mutation_cannot_affect_other_branch(
         self, static_network
     ):
         """Header-aliasing regression (the zone-broadcast corruption bug).
 
-        Every branch of a broadcast must carry its own header copy: a
-        receiver resetting its per-hop routing state (as ALERT does with
-        ``hdr.segment.retries = 0`` and ZAP with ``hdr.retries = 0``)
-        used to mutate the single shared header object, corrupting every
-        sibling branch.  Fails on the pre-fix ``Packet.fork()``.
+        Every receiver that acts on a broadcast must work on its own
+        branch: a receiver resetting its per-hop routing state (as ALERT
+        does with ``hdr.segment.retries = 0`` and ZAP with
+        ``hdr.retries = 0``) once mutated a header shared with every
+        sibling branch.  Branches taken with ``accept`` must move
+        neither each other, nor the shared frame, nor the sender's
+        packet.
         """
         from repro.routing.zap import ZapHeader
         from repro.geometry.primitives import Rect
@@ -172,23 +188,30 @@ class TestBroadcast:
         net = static_network
         delivered = []
         for n in net.nodes:
-            n.on_receive = lambda node, pkt: delivered.append(pkt)
+            n.on_receive = lambda node, pkt: delivered.append((node.id, pkt))
         packet = data_packet(src=0, dst=-1)
         packet.header = ZapHeader(zone=Rect(0, 0, 100, 100), ttl=12, retries=2)
         receivers = net.local_broadcast(0, packet)
         net.engine.run()
         if len(receivers) < 2:
             return  # collided frame / sparse neighborhood: nothing to check
-        headers = [p.header for p in delivered]
-        assert len(set(map(id, headers))) == len(headers)  # no aliasing
+        (a_id, frame), (b_id, _) = delivered[0], delivered[1]
+        a, b = frame.accept(a_id), frame.accept(b_id)
+        assert len({a.uid, b.uid, frame.uid, packet.uid}) == 4
+        assert a.header is not b.header
+        headers = (a.header, b.header, frame.header, packet.header)
+        assert len(set(map(id, headers))) == 4
+        assert a.trace is not b.trace
+        assert a.trace == [0, a_id] and b.trace == [0, b_id]
+        assert not a.shared and not b.shared
         # One receiver mutates its per-hop state...
-        headers[0].retries = 0
-        headers[0].ttl -= 1
-        # ...and neither a sibling branch nor the sender's packet moves.
-        assert headers[1].retries == 2
-        assert headers[1].ttl == 12
-        assert packet.header.retries == 2
-        assert packet.header.ttl == 12
+        a.header.retries = 0
+        a.header.ttl -= 1
+        # ...and neither its sibling, the frame nor the sender's packet moves.
+        for other in (b, frame, packet):
+            assert other.header.retries == 2
+            assert other.header.ttl == 12
+        assert frame.trace == [0]
 
 
 class TestHello:
